@@ -1,7 +1,8 @@
 """Command-line front end: check / solve / observe / simulate.
 
-Exit codes: 0 success, 1 input error, 2 undetectable pair,
-3 simulation diagnostic failure (error did not decay).
+Exit codes: 0 success, 1 input error (a step outside RK4's stability
+region included), 2 undetectable pair, 3 simulation diagnostic failure
+(error did not decay).
 """
 
 import argparse

@@ -248,6 +248,13 @@ class TestDiagnosticExit:
         assert code == 3
         assert doc["decay_ratio"] > 1.0
 
+    def test_stiff_observer_step_exits_1(self, tmp_path, capsys):
+        # pole -5000 at dt = 1e-3 leaves the RK4 stability region
+        code = main(["simulate", write_system(tmp_path), "--poles", "-5000", "--t-final", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stability region" in err and "-5000" in err
+
     def test_observer_file_missing_key(self, tmp_path, capsys):
         sys_path = write_system(tmp_path)
         obs_path = tmp_path / "partial.json"

@@ -15,6 +15,9 @@ from sylvobs import (
     synthesize_observer,
     write_trace_csv,
 )
+from sylvobs.simulate import _BLOCK
+
+from tests.conftest import stable_matrix
 
 
 def worked_setup():
@@ -25,6 +28,60 @@ def worked_setup():
     )
     obs = synthesize_observer(plant, [-1.0])
     return plant, obs
+
+
+def random_stable_setup(seed, n, p, m=1):
+    """Stable plant of order n with p outputs and m inputs, and its observer."""
+    rng = np.random.default_rng(seed)
+    while True:
+        A = stable_matrix(rng, n)
+        C = rng.standard_normal((p, n))
+        if check_detectability(A, C).detectable:
+            break
+    plant = Plant(A, rng.standard_normal((n, m)), C)
+    return plant, synthesize_observer(plant)
+
+
+# the worked 2x2 plant, and a stable n = 32, p = 4 plant over more than one block
+BITWISE_SETUPS = {"worked-n2": worked_setup, "seeded-n32-p4": lambda: random_stable_setup(71, 32, 4)}
+BITWISE_CFG = dict(t_final=(_BLOCK + 100) * 1e-3, dt=1e-3)
+
+
+def textbook_rk4(plant, obs, x0, z0, cfg):
+    """Classical four-stage RK4 on the coupled [x; z] system, one step at a time."""
+    n = plant.n
+    u = cfg.input_signal or (lambda t: np.zeros(plant.m))
+    Abig = np.block([[plant.A, np.zeros((n, obs.order))], [obs.G @ plant.C, obs.F]])
+    Bbig = np.vstack([plant.B, obs.P])
+
+    def f(t, s):
+        return Abig @ s + Bbig @ np.asarray(u(t), dtype=float)
+
+    h = cfg.dt
+    s = np.concatenate([x0, z0])
+    states = [s]
+    for i in range(cfg.step_count()):
+        t = i * h
+        k1 = f(t, s)
+        k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
+        k4 = f(t + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(s)
+    states = np.array(states)
+    return states[:, :n], states[:, n:]
+
+
+class CountingInput:
+    """u(t) = sin(t) on every channel, counting its calls."""
+
+    def __init__(self, m):
+        self.m = m
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return np.full(self.m, math.sin(t))
 
 
 def scalar_decay_deviation(dt, t_final=1.0):
@@ -67,19 +124,76 @@ class TestSimulate:
         d2 = scalar_decay_deviation(0.05)
         assert d1 / d2 >= 10.0
 
-    def test_estimate_identity_bitwise(self):
-        plant, obs = worked_setup()
-        cfg = SimulationConfig(t_final=0.5, dt=1e-2, input_signal=ConstantInput([0.7]))
-        trace = simulate(plant, obs, [1.0, 0.0], [0.3], cfg)
+    @pytest.mark.parametrize("setup", BITWISE_SETUPS.values(), ids=BITWISE_SETUPS.keys())
+    def test_estimate_identity_bitwise(self, setup):
+        plant, obs = setup()
+        x0 = np.linspace(1.0, 0.0, plant.n)
+        z0 = np.full(obs.order, 0.3)
+        cfg = SimulationConfig(input_signal=ConstantInput([0.7]), **BITWISE_CFG)
+        trace = simulate(plant, obs, x0, z0, cfg)
+        assert trace.times.size > _BLOCK
         for i in range(trace.times.size):
             expected = obs.W @ np.concatenate([plant.C @ trace.x[i], trace.z[i]])
             assert np.array_equal(trace.xhat[i], expected)
 
-    def test_error_recomputed_from_states(self):
-        plant, obs = worked_setup()
-        trace = simulate(plant, obs, [0.2, 0.1], [0.9], SimulationConfig(t_final=1.0, dt=1e-2))
+    @pytest.mark.parametrize("setup", BITWISE_SETUPS.values(), ids=BITWISE_SETUPS.keys())
+    def test_error_recomputed_from_states(self, setup):
+        plant, obs = setup()
+        x0 = np.linspace(0.2, 0.1, plant.n)
+        z0 = np.full(obs.order, 0.9)
+        trace = simulate(plant, obs, x0, z0, SimulationConfig(**BITWISE_CFG))
+        assert trace.times.size > _BLOCK
         for i in range(trace.times.size):
             assert np.array_equal(trace.e[i], trace.z[i] - obs.T @ trace.x[i])
+
+    @pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize(
+        "signal",
+        [None, ConstantInput([0.7, -0.2]), SinusoidInput([1.0, 0.5], 3.0, 0.4)],
+        ids=["zero", "constant", "sinusoid"],
+    )
+    def test_matches_textbook_rk4(self, steps, signal):
+        plant, obs = random_stable_setup(72, 8, 2, m=2)
+        rng = np.random.default_rng(73)
+        x0, z0 = rng.standard_normal(8), rng.standard_normal(obs.order)
+        cfg = SimulationConfig(t_final=steps * 1e-3, dt=1e-3, input_signal=signal)
+        trace = simulate(plant, obs, x0, z0, cfg)
+        x_ref, z_ref = textbook_rk4(plant, obs, x0, z0, cfg)
+        assert trace.times.size == steps + 1
+        assert np.linalg.norm(trace.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        assert np.linalg.norm(trace.z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+
+    @pytest.mark.parametrize("steps", [1, _BLOCK, 2 * _BLOCK + 3])
+    def test_input_evaluated_once_per_distinct_time(self, steps):
+        plant, obs = random_stable_setup(72, 8, 2, m=2)
+        u = CountingInput(2)
+        cfg = SimulationConfig(t_final=steps * 1e-3, dt=1e-3, input_signal=u)
+        simulate(plant, obs, np.ones(8), np.zeros(obs.order), cfg)
+        assert u.calls <= 2 * steps + 2
+
+    def test_stiff_observer_step_rejected(self):
+        # R(-5) = 13.7: the -5000 mode would grow 13.7x per step at dt = 1e-3
+        plant, _ = worked_setup()
+        obs = synthesize_observer(plant, [-5000.0])
+        with pytest.raises(ValueError, match=r"-5000.*dt = 0\.001|dt = 0\.001.*-5000"):
+            simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=1.0, dt=1e-3))
+        trace = simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=0.01, dt=1e-4))
+        assert np.all(np.isfinite(trace.e))
+
+    def test_slow_and_lightly_damped_modes_not_rejected(self):
+        # |R(dt * lam)| rounds to 1 in floating point when |dt * lam| is
+        # below eps, or for an oscillator with a round-off real part; neither
+        # is a step outside the stability region
+        C = np.array([[1.0, 0.0]])
+        for A, dt in (
+            (np.array([[-1e-15, 1.0], [-1.0, -1e-15]]), 1e-3),
+            (np.array([[-1.0, 1.0], [0.0, -2.0]]), 1e-17),
+        ):
+            plant = Plant(A, np.ones((2, 1)), C)
+            obs = synthesize_observer(plant, [-1.0])
+            cfg = SimulationConfig(t_final=10 * dt, dt=dt)
+            trace = simulate(plant, obs, [1.0, 0.0], [0.0], cfg)
+            assert np.all(np.isfinite(trace.x))
 
     def test_trace_lengths(self):
         plant, obs = worked_setup()
@@ -150,6 +264,48 @@ class TestMetrics:
 
 
 class TestCsv:
+    @staticmethod
+    def per_value_text(trace):
+        """The CSV text built one formatted value at a time."""
+        n, q = trace.x.shape[1], trace.z.shape[1]
+        header = ",".join(
+            ["t"]
+            + [f"x_{i + 1}" for i in range(n)]
+            + [f"z_{i + 1}" for i in range(q)]
+            + [f"e_{i + 1}" for i in range(q)]
+            + [f"xhat_{i + 1}" for i in range(n)]
+            + ["e_norm"]
+        )
+        rows = np.hstack(
+            [trace.times[:, None], trace.x, trace.z, trace.e, trace.xhat, trace.e_norms[:, None]]
+        )
+        lines = [header] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def assert_same_text(got, expected):
+        # compare line by line first, so a mismatch reports one short line
+        # instead of a diff of the whole trace
+        for i, (a, b) in enumerate(zip(got.split("\n"), expected.split("\n"))):
+            assert (i, a) == (i, b)
+        assert got == expected
+
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        plant, obs = random_stable_setup(75, 6, 2)
+        cfg = SimulationConfig(
+            t_final=(2 * _BLOCK + 7) * 1e-3, dt=1e-3, input_signal=SinusoidInput([0.3])
+        )
+        trace = simulate(plant, obs, np.full(6, -0.4), np.full(obs.order, 2.0), cfg)
+        assert trace.times.size > 2 * _BLOCK
+        expected = self.per_value_text(trace)
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        self.assert_same_text(buf.getvalue(), expected)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        self.assert_same_text(path.read_bytes().decode("utf-8"), expected)
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_header_and_shape(self):
         plant, obs = worked_setup()
         trace = simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=0.1, dt=0.05))
