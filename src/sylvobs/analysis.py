@@ -208,7 +208,11 @@ def obs_decompose(A, C, tol=0.0):
     (coarser than the PBH tests, which use the exact SVD rank rule);
     pass ``tol`` explicitly for a different split.
     """
-    A, C = _validated_pair(A, C)
+    return _staircase(*_validated_pair(A, C), tol)
+
+
+def _staircase(A, C, tol):
+    """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``."""
     Tsim, no = _ctrb_staircase(A.T, C.T, tol)
     At = Tsim.T @ A @ Tsim
     Ct = C @ Tsim

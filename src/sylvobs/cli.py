@@ -22,7 +22,7 @@ from .simulate import (
     simulate,
     write_trace_csv,
 )
-from .sylvester import solve_constrained_sylvester, verify_solution
+from .sylvester import solve_constrained_sylvester
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,9 +118,8 @@ def cmd_solve(args):
     A, C = _require(load_matrices(args.system), args.system, "A", "C")
     poles = _parse_poles(args.poles) if args.poles else None
     sol = solve_constrained_sylvester(A, C, poles, args.tol)
-    report = verify_solution(A, C, sol.T, sol.F, sol.G, args.tol)
     save_matrices(args.out, {"T": sol.T, "F": sol.F, "G": sol.G, "L": sol.L, "K": sol.K})
-    _print_report(report, args.json, extra={"output": args.out})
+    _print_report(sol.report, args.json, extra={"output": args.out})
     return EXIT_OK
 
 
@@ -130,11 +129,10 @@ def cmd_observe(args):
     poles = _parse_poles(args.poles) if args.poles else None
     plant = Plant(A, B, C)
     obs = synthesize_observer(plant, poles, args.tol)
-    report = verify_solution(A, C, obs.T, obs.F, obs.G, args.tol)
     save_matrices(
         args.out, {"F": obs.F, "G": obs.G, "P": obs.P, "T": obs.T, "W": obs.W}
     )
-    _print_report(report, args.json, extra={"order": obs.order, "output": args.out})
+    _print_report(obs.report, args.json, extra={"order": obs.order, "output": args.out})
     return EXIT_OK
 
 
@@ -187,7 +185,10 @@ def cmd_simulate(args):
     else:
         metrics_doc = dict(metrics)
     if args.json:
-        print(json.dumps(metrics_doc, indent=2))
+        # JSON has no NaN/inf: a diverged trace's metrics print as null
+        doc = {k: None if isinstance(v, float) and not np.isfinite(v) else v
+               for k, v in metrics_doc.items()}
+        print(json.dumps(doc, indent=2))
     else:
         width = max(len(k) for k in metrics_doc)
         for key, value in metrics_doc.items():

@@ -1,9 +1,10 @@
 """Output-injection gain synthesis.
 
 ``place_poles`` assigns an exact closed-loop spectrum ``A + K @ C`` for
-observable pairs; ``stabilizing_gain`` stabilizes any detectable pair by
-placing poles on the observable staircase block and embedding the gain
-so the (stable) unobservable modes are left where they are.
+observable pairs.  ``stabilizing_gain`` stabilizes any detectable pair
+from the observability staircase alone: poles go on its observable block,
+its unobservable modes are left in place, and one of them that is not
+stable makes the pair undetectable.  No PBH sweep runs here.
 
 The assignment algorithm works on the dual state-feedback problem
 (A.T, C.T) and is recursive: each step inserts one real eigenvalue, or
@@ -16,13 +17,9 @@ unique; the result is deterministic but only the spectrum is contracted.
 
 import numpy as np
 
-from .analysis import (
-    UndetectableError,
-    check_detectability,
-    check_observability,
-    obs_decompose,
-)
+from .analysis import UndetectableError, _staircase, check_observability
 from .linalg import (
+    DEFAULTS,
     _rank_cutoff,
     as_matrix,
     as_square,
@@ -214,21 +211,21 @@ def _place_output_injection(A, C, poles):
 def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     """Gain K making ``Ao + K @ Co`` Hurwitz stable, for detectable pairs.
 
-    Observable pairs get a full spectrum assignment.  Otherwise the pair
-    is staircase-decomposed, poles are placed on the observable block
-    only, and the gain is embedded as ``Tsim @ [K1; 0]`` so the stable
-    unobservable modes keep their eigenvalues in the closed loop.
+    The pair is staircase-decomposed, poles are placed on the observable
+    block only, and the gain is embedded as ``Tsim @ [K1; 0]`` so the
+    stable unobservable modes keep their eigenvalues in the closed loop.
+    An observable pair gets a full spectrum assignment; a zero Co has an
+    empty observable block, so the gain is zero and Ao must be stable.
 
     ``desired`` applies to the observable block and must match its
     dimension; all targets need negative real parts.  When omitted, the
-    defaults from :func:`default_stable_poles` are used.  A zero Co is
-    accepted: with no usable measurements the gain is zero and Ao itself
-    must already be stable.
+    defaults from :func:`default_stable_poles` are used.
 
     Raises
     ------
     UndetectableError
-        When some unstable eigenvalue is unobservable.
+        When an eigenvalue of the unobservable block is not stable
+        (``Re >= -stability_tol``); ``offending`` lists those values.
     """
     A = as_square(Ao, "Ao")
     C = as_matrix(Co, "Co")
@@ -243,30 +240,17 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     else:
         poles = None
 
-    if not np.any(C):
-        # no usable measurements: the pair is detectable iff A is stable
-        if poles is not None and poles.size:
-            raise ValueError("no observable modes; desired poles must be empty")
-        if spectral_abscissa(A) < 0.0:
-            return np.zeros((n, p))
-        offending = [complex(v) for v in eigenvalues(A) if v.real >= 0.0]
+    # the modes the staircase leaves unplaced are judged at the same
+    # cutoff that left them, so verdict and placement cannot disagree
+    dec = _staircase(A, C, tol)
+    band = DEFAULTS.stability if stability_tol is None else stability_tol
+    offending = [complex(v) for v in eigenvalues(dec.A22) if v.real >= -band]
+    if offending:
         raise UndetectableError(
-            "pair is not detectable (zero output map with unstable modes)", offending
+            "pair is not detectable; unstable unobservable eigenvalues: "
+            + ", ".join(f"{v:.6g}" for v in offending),
+            offending,
         )
-
-    verdict = check_detectability(A, C, tol, stability_tol)
-    if not verdict.detectable:
-        raise UndetectableError(
-            "pair is not detectable; offending eigenvalues: "
-            + ", ".join(f"{v:.6g}" for v in verdict.offending),
-            verdict.offending,
-        )
-
-    # one structural mechanism decides what gets placed: the staircase.
-    # PBH (above) is the detectability gate; branching on its per-value
-    # flags instead can disagree with the staircase on round-off-level
-    # output blocks and send unusable pairs into the placement.
-    dec = obs_decompose(A, C, tol)
     if poles is None:
         poles = default_stable_poles(dec.no)
     elif poles.size != dec.no:
@@ -275,7 +259,6 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
         )
     _check_conjugate_closed(poles, "desired")
     if dec.no == 0:
-        # every mode is unobservable; detectability means all are stable
         K = np.zeros((n, p))
     elif dec.no == n:
         K = _place_output_injection(A, C, poles)
@@ -283,6 +266,6 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
         K1 = _place_output_injection(dec.A11, dec.C1, poles)
         K = dec.Tsim @ np.vstack([K1, np.zeros((n - dec.no, p))])
 
-    if n and spectral_abscissa(A + K @ C) >= 0.0:
+    if spectral_abscissa(A + K @ C) >= 0.0:
         raise np.linalg.LinAlgError("stabilization failed verification")
     return K

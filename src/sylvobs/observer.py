@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, as_vector, rank_tol, solve_linear
-from .sylvester import solve_constrained_sylvester
+from .sylvester import SolveReport, solve_constrained_sylvester
 
 __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
 
@@ -59,7 +59,9 @@ class Plant:
 class ReducedObserver:
     """Observer matrices (F, G, P, T) and the recombination matrix W.
 
-    Immutable after synthesis; the methods are pure and concurrent-safe.
+    ``report`` is the solve's verification report of (T, F, G); it is
+    ``None`` for an observer built from stored matrices.  Immutable after
+    synthesis; the methods are pure and concurrent-safe.
     """
 
     F: np.ndarray
@@ -67,6 +69,7 @@ class ReducedObserver:
     P: np.ndarray
     T: np.ndarray
     W: np.ndarray
+    report: SolveReport | None = None
 
     @property
     def order(self):
@@ -103,7 +106,8 @@ def synthesize_observer(plant, desired=None, tol=0.0, stability_tol=None):
 
     Solves the constrained equation for (T, F, G), sets P = T @ B, and
     precomputes W = inv([C; T]) once so estimation stays cheap in the
-    simulation hot path.
+    simulation hot path.  The solve's verification report is kept as
+    ``report``.
 
     Raises
     ------
@@ -118,4 +122,4 @@ def synthesize_observer(plant, desired=None, tol=0.0, stability_tol=None):
     W = solve_linear(stacked, np.eye(plant.n), tol)
     if np.linalg.norm(W @ stacked - np.eye(plant.n)) > 1e-6 * plant.n:
         raise np.linalg.LinAlgError("recombination matrix failed verification")
-    return ReducedObserver(F=sol.F, G=sol.G, P=P, T=sol.T, W=W)
+    return ReducedObserver(F=sol.F, G=sol.G, P=P, T=sol.T, W=W, report=sol.report)

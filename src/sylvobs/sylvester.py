@@ -4,14 +4,18 @@ equation
     T @ A - F @ T = G @ C,      det [C; T] != 0,
 
 with F Hurwitz stable and T of full row rank n - p.  A solution exists
-iff the pair (A, C) is detectable, and the constructive route is:
+iff the pair (A, C) is detectable.  ``solve_constrained_sylvester`` is
+one pass in which each check runs once:
 
-1. check detectability of (A, C);
-2. build the output-normalizing transform L with C @ L = [I_p, 0];
-3. partition inv(L) @ A @ L into blocks A11 (p x p), A12, A21, A22;
-4. find K with A22 + K @ A12 Hurwitz stable;
+1. validate (A, C), the full row rank of C included;
+2. PBH detectability verdict on (A, C), before anything is built;
+3. build L with C @ L = [I_p, 0] and partition inv(L) @ A @ L into
+   blocks A11 (p x p), A12, A21, A22, without validating again;
+4. find K with A22 + K @ A12 Hurwitz stable (its staircase decides
+   what is placed);
 5. assemble T = [K, I] @ inv(L), F = A22 + K @ A12,
-   G = K @ A11 + A21 - F @ K.
+   G = K @ A11 + A21 - F @ K;
+6. verify (T, F, G); the report is returned with the solution.
 
 ``verify_solution`` recomputes the defining quantities of any candidate
 (T, F, G) independently of how it was produced.
@@ -43,21 +47,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SylvesterSolution:
-    """Solution triple (T, F, G) plus the internals that produced it."""
-
-    T: np.ndarray
-    F: np.ndarray
-    G: np.ndarray
-    L: np.ndarray
-    K: np.ndarray
-    A11: np.ndarray
-    A12: np.ndarray
-    A21: np.ndarray
-    A22: np.ndarray
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Recomputed quality figures for a candidate solution."""
 
@@ -65,6 +54,19 @@ class SolveReport:
     stacked_min_singular_value: float
     F_spectral_abscissa: float
     T_rank: int
+
+
+@dataclass(frozen=True)
+class SylvesterSolution:
+    """Solution triple (T, F, G), the transform L and gain K that produced
+    it, and the verification report the solve accepted it on."""
+
+    T: np.ndarray
+    F: np.ndarray
+    G: np.ndarray
+    L: np.ndarray
+    K: np.ndarray
+    report: SolveReport
 
 
 @dataclass(frozen=True)
@@ -93,13 +95,8 @@ def _validated_system(A, C, tol):
     return A, C
 
 
-def partition_by_output(A, C, tol=0.0):
-    """Normalize the output map and partition the state matrix.
-
-    Returns the transform pair and the four blocks of inv(L) @ A @ L,
-    split after the first p rows/columns.
-    """
-    A, C = _validated_system(A, C, tol)
+def _partition(A, C, tol):
+    """``partition_by_output`` of a validated pair."""
     p = C.shape[0]
     L, Linv = _normalizing_pair(C, tol)
     A1 = Linv @ A @ L
@@ -111,6 +108,15 @@ def partition_by_output(A, C, tol=0.0):
         A21=A1[p:, :p],
         A22=A1[p:, p:],
     )
+
+
+def partition_by_output(A, C, tol=0.0):
+    """Normalize the output map and partition the state matrix.
+
+    Returns the transform pair and the four blocks of inv(L) @ A @ L,
+    split after the first p rows/columns.
+    """
+    return _partition(*_validated_system(A, C, tol), tol)
 
 
 def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None):
@@ -132,7 +138,8 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
     -------
     SylvesterSolution
         With n == p the solution is the empty one: T, F, G have zero
-        rows and the stacked constraint reduces to det C != 0.
+        rows and the stacked constraint reduces to det C != 0.  Its
+        ``report`` is the ``verify_solution`` report it passed.
 
     Raises
     ------
@@ -153,7 +160,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
             verdict.offending,
         )
 
-    part = partition_by_output(A, C, tol)
+    part = _partition(A, C, tol)
     if n == p:
         if desired is not None and np.atleast_1d(np.asarray(desired)).size:
             raise ValueError("desired poles must be empty when the observer order is 0")
@@ -164,10 +171,6 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
     F = part.A22 + K @ part.A12
     T = np.hstack([K, np.eye(n - p)]) @ part.Linv
     G = K @ part.A11 + part.A21 - F @ K
-    solution = SylvesterSolution(
-        T=T, F=F, G=G, L=part.L, K=K,
-        A11=part.A11, A12=part.A12, A21=part.A21, A22=part.A22,
-    )
 
     report = verify_solution(A, C, T, F, G, tol)
     scale = DEFAULTS.residual_rtol * (1.0 + float(np.linalg.norm(A)))
@@ -181,7 +184,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
         raise np.linalg.LinAlgError(
             f"constructed solution failed verification: {report}"
         )
-    return solution
+    return SylvesterSolution(T=T, F=F, G=G, L=part.L, K=K, report=report)
 
 
 def verify_solution(A, C, T, F, G, tol=0.0):

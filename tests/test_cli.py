@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sylvobs import load_matrices, save_matrices
+from sylvobs import load_matrices, save_matrices, verify_solution
 from sylvobs.cli import main
+from tests.conftest import random_detectable_pair
 
 WORKED = {
     "A": np.array([[0.0, 1.0], [0.0, 0.0]]),
@@ -153,6 +154,22 @@ class TestObserve:
         path = write_system(tmp_path, A=np.eye(2))
         assert main(["observe", path, "--out", str(tmp_path / "o.json")]) == 2
 
+    def test_json_report_is_the_solve_report(self, tmp_path, capsys):
+        # the printed report is the one the solve verified; recomputing it
+        # from the written file gives the same figures bit for bit
+        A, C, _ = random_detectable_pair(np.random.default_rng(51), 6, 2, n_hidden=1)
+        path = write_system(tmp_path, A=A, B=np.ones((6, 1)), C=C)
+        out_path = str(tmp_path / "obs.json")
+        assert main(["observe", path, "--json", "--out", out_path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        obs = load_matrices(out_path)
+        rep = verify_solution(A, C, obs["T"], obs["F"], obs["G"], 1e-9)
+        assert doc["residual_norm"] > 0.0
+        assert doc["residual_norm"] == rep.residual_norm
+        assert doc["stacked_min_singular_value"] == rep.stacked_min_singular_value
+        assert doc["F_spectral_abscissa"] == rep.F_spectral_abscissa
+        assert doc["T_rank"] == rep.T_rank == 4
+
     def test_order_zero_full_measurement(self, tmp_path):
         C = np.array([[2.0, 0.0], [0.0, 1.0]])
         path = write_system(tmp_path, A=np.diag([-1.0, 2.0]), B=np.ones((2, 1)), C=C)
@@ -254,6 +271,27 @@ class TestDiagnosticExit:
         assert code == 1
         err = capsys.readouterr().err
         assert "stability region" in err and "-5000" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_metrics_are_json_null(self, tmp_path, capsys):
+        # an undamped 5000 rad/s plant mode diverges under RK4 at dt = 1e-3;
+        # the metrics are NaN and --json must still print valid JSON
+        path = write_system(
+            tmp_path, A=np.array([[0.0, 5000.0], [-5000.0, 0.0]]), B=np.array([[0.0], [1.0]])
+        )
+        code = main(["simulate", path, "--t-final", "1", "--x0=1,0", "--z0=1", "--json"])
+        out = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 3
+        assert doc == {
+            "final_error_norm": None,
+            "decay_ratio": None,
+            "estimate_final_error": None,
+        }
 
     def test_observer_file_missing_key(self, tmp_path, capsys):
         sys_path = write_system(tmp_path)

@@ -187,5 +187,6 @@ class TestStabilizingGain:
         # no measurements: stable A gives zero gain, unstable A is hopeless
         K = stabilizing_gain(np.diag([-1.0, -2.0]), np.zeros((1, 2)))
         assert_allclose(K, np.zeros((2, 1)))
-        with pytest.raises(UndetectableError):
+        with pytest.raises(UndetectableError) as excinfo:
             stabilizing_gain(np.diag([1.0, -2.0]), np.zeros((1, 2)))
+        assert excinfo.value.offending == [1]

@@ -47,6 +47,7 @@ class TestWorkedExample:
     def test_report_values(self):
         sol = solve_constrained_sylvester(A_CHAIN, C_CHAIN, [-1.0])
         rep = verify_solution(A_CHAIN, C_CHAIN, sol.T, sol.F, sol.G)
+        assert sol.report == rep  # the solve returns the report it verified
         assert rep.residual_norm <= 1e-12
         # min singular value of [[1,0],[-1,1]]: sqrt((3 - sqrt(5))/2)
         assert rep.stacked_min_singular_value == pytest.approx(
@@ -146,13 +147,25 @@ class TestRandomRoundTrip:
             p = int(rng.integers(1, n))
             if rng.random() < 0.5:
                 A, C, _ = random_detectable_pair(rng, n, p)
+                bad = []
             else:
-                A, C, _ = random_undetectable_pair(rng, n, p)
+                A, C, bad = random_undetectable_pair(rng, n, p)
             if check_detectability(A, C, STRUCT_TOL).detectable:
                 solve_constrained_sylvester(A, C, tol=STRUCT_TOL)
             else:
-                with pytest.raises(UndetectableError):
+                with pytest.raises(UndetectableError) as excinfo:
                     solve_constrained_sylvester(A, C, tol=STRUCT_TOL)
+                for lam in bad:
+                    assert min(abs(v - lam) for v in excinfo.value.offending) <= 1e-6
+
+    @pytest.mark.parametrize("draw, p", [(9547, 2), (14936, 1), (18101, 2)])
+    def test_planted_mode_named_at_default_tol(self, draw, p):
+        # draws on which PBH on (A, C) and the staircase on (A22, A12) once
+        # disagreed, so the solve ended in a failed stabilization instead
+        A, C, bad = random_undetectable_pair(np.random.default_rng((9, draw)), 8, p)
+        with pytest.raises(UndetectableError) as excinfo:
+            solve_constrained_sylvester(A, C)
+        assert min(abs(v - bad[0]) for v in excinfo.value.offending) <= 1e-6
 
     def test_partition_equivalence(self):
         rng = np.random.default_rng(32)
