@@ -211,6 +211,13 @@ def obs_decompose(A, C, tol=0.0):
     return _staircase(*_validated_pair(A, C), tol)
 
 
+def _unstable_hidden_modes(dec, stability_tol=None):
+    """Unobservable modes of a staircase with ``Re >= -stability_tol``, judged
+    at the cutoff that split them off; the pair is detectable iff none."""
+    band = DEFAULTS.stability if stability_tol is None else stability_tol
+    return [complex(v) for v in eigenvalues(dec.A22) if v.real >= -band]
+
+
 def _staircase(A, C, tol):
     """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``."""
     Tsim, no = _ctrb_staircase(A.T, C.T, tol)

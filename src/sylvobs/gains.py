@@ -17,15 +17,8 @@ unique; the result is deterministic but only the spectrum is contracted.
 
 import numpy as np
 
-from .analysis import UndetectableError, _staircase, check_observability
-from .linalg import (
-    DEFAULTS,
-    _rank_cutoff,
-    as_matrix,
-    as_square,
-    eigenvalues,
-    spectral_abscissa,
-)
+from .analysis import UndetectableError, _staircase, _unstable_hidden_modes, check_observability
+from .linalg import _rank_cutoff, as_matrix, as_square, spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
 
@@ -240,11 +233,8 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     else:
         poles = None
 
-    # the modes the staircase leaves unplaced are judged at the same
-    # cutoff that left them, so verdict and placement cannot disagree
     dec = _staircase(A, C, tol)
-    band = DEFAULTS.stability if stability_tol is None else stability_tol
-    offending = [complex(v) for v in eigenvalues(dec.A22) if v.real >= -band]
+    offending = _unstable_hidden_modes(dec, stability_tol)
     if offending:
         raise UndetectableError(
             "pair is not detectable; unstable unobservable eigenvalues: "

@@ -70,12 +70,13 @@ DEFAULTS = Tolerances()
 def as_matrix(M, name="matrix", allow_empty=False):
     """Convert to a validated 2-D float array.
 
-    1-D input is interpreted as a single row.  Raises ``ValueError`` on
-    complex entries, non-finite entries, ndim > 2, or (unless
-    ``allow_empty``) zero-sized axes.
+    1-D input is interpreted as a single row.  A C-ordered float64 array
+    is returned by reference, not copied; other input is converted.
+    Raises ``ValueError`` on complex entries, non-finite entries,
+    ndim > 2, or (unless ``allow_empty``) zero-sized axes.
     """
     try:
-        A = np.array(M, dtype=float, order="C")
+        A = np.asarray(M, dtype=float, order="C")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a real matrix: {exc}") from None
     if A.ndim == 0:

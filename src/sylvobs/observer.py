@@ -19,7 +19,8 @@ __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
 
 @dataclass(frozen=True)
 class Plant:
-    """State-space triple (A, B, C); C must have full row rank."""
+    """State-space triple (A, B, C); C must have full row rank.  C-ordered
+    float64 arrays are kept by reference, not copied."""
 
     A: np.ndarray
     B: np.ndarray

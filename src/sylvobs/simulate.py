@@ -9,9 +9,10 @@ so the input is evaluated twice per step (at t and t + dt/2; u(t + dt)
 starts the next step) and the loop runs in blocks of rows.  The result is
 the same RK4 method, with the same order, to round-off.
 
-A step dt that puts a decaying mode of the plant or the observer outside
-RK4's stability region (|R(dt lam)| >= 1) would make the trace blow up to
-NaN; ``simulate`` rejects it with a ``ValueError`` instead.
+A step dt that puts a decaying or marginal mode of the plant or the
+observer outside RK4's stability region (|R(dt lam)| >= 1, or > 1 on the
+imaginary axis) would make the trace blow up to NaN; ``simulate`` rejects
+it with a ``ValueError`` instead.
 
 The recorded error e = z - T x is recomputed from the stored states at
 every sample and, for a valid observer, follows e(t) = expm(F t) e(0) up
@@ -115,31 +116,43 @@ class SimulationTrace:
 
 
 def _check_step_stability(plant, obs, dt):
-    """Reject a step that puts a decaying mode outside RK4's stability region.
+    """Reject a step that puts a stable or marginal mode outside RK4's
+    stability region.
 
-    For each eigenvalue lam of ``plant.A`` and ``obs.F`` that counts as
-    stable (``Re lam < -DEFAULTS.stability``), RK4 multiplies that mode by
-    ``R(h lam)`` per step, ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``.  When
-    ``|R(h lam)| >= 1`` the computed mode grows instead of decaying (and the
-    trace overflows to NaN), so a ``ValueError`` naming lam, h and |R| is
-    raised instead.  Unstable and marginal modes are not checked.
+    RK4 multiplies the mode of each eigenvalue lam of ``plant.A`` and
+    ``obs.F`` by ``R(h lam)`` per step, ``R(z) = 1 + z + z^2/2 + z^3/6 +
+    z^4/24``.  A stable mode (``Re lam < -DEFAULTS.stability``) is rejected
+    when ``|R(h lam)| >= 1``, a marginal one (``|Re lam| <= DEFAULTS.stability``,
+    taken as on the imaginary axis) when ``|R(i h Im lam)| > 1``, so lam = 0
+    and slow oscillators pass.  Either would grow through the step alone (and
+    the trace overflow to NaN), so a ``ValueError`` naming lam, h and |R| is
+    raised instead.  Unstable modes are not checked: their growth is real.
     """
     for source, M, hint in (
         ("plant", plant.A, "reduce dt"),
         ("observer", obs.F, "reduce dt or choose slower observer poles"),
     ):
         for lam in eigenvalues(M):
-            if lam.real >= -DEFAULTS.stability:
+            if lam.real > DEFAULTS.stability:
                 continue
-            z = dt * lam
-            w = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
-            # |R|^2 - 1 = 2 Re w + |w|^2, free of the rounding of |1 + w| to 1
-            # when |z| is tiny
-            if 2.0 * w.real + abs(w) ** 2 >= 0.0:
+            if lam.real >= -DEFAULTS.stability:
+                # on the axis |R(iy)|^2 - 1 = y^6 (y^2 - 8) / 576 exactly; the
+                # form below loses its sign to rounding for |y| below 4e-4
+                y = dt * lam.imag
+                outside = y * y > 8.0
+                gain = math.sqrt(1.0 + y**6 * (y * y - 8.0) / 576.0)
+            else:
+                z = dt * lam
+                w = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
+                # |R|^2 - 1 = 2 Re w + |w|^2, free of the rounding of |1 + w| to 1
+                # when |z| is tiny
+                outside = 2.0 * w.real + abs(w) ** 2 >= 0.0
+                gain = abs(1.0 + w)
+            if outside:
                 value = f"{lam.real:.6g}" if lam.imag == 0.0 else f"{lam:.6g}"
                 raise ValueError(
                     f"step dt = {dt:g} is outside the RK4 stability region for the "
-                    f"{source} eigenvalue {value}: |R(dt * lam)| = {abs(1.0 + w):.6g} >= 1; "
+                    f"{source} eigenvalue {value}: |R(dt * lam)| = {gain:.6g} >= 1; "
                     f"{hint}"
                 )
 
@@ -158,7 +171,7 @@ def simulate(plant, obs, x0, z0, cfg=SimulationConfig()):
 
     Raises ``ValueError`` on mismatched dimensions, an invalid config,
     or a step ``cfg.dt`` outside RK4's stability region for a decaying
-    mode of the plant or the observer.
+    or marginal mode of the plant or the observer.
     """
     n, m, p = plant.n, plant.m, plant.p
     if obs.T.shape[1] != n or obs.p != p or obs.P.shape[1] != m:

@@ -8,7 +8,7 @@ iff the pair (A, C) is detectable.  ``solve_constrained_sylvester`` is
 one pass in which each check runs once:
 
 1. validate (A, C), the full row rank of C included;
-2. PBH detectability verdict on (A, C), before anything is built;
+2. detectability verdict from the staircase of (A, C), before L is built;
 3. build L with C @ L = [I_p, 0] and partition inv(L) @ A @ L into
    blocks A11 (p x p), A12, A21, A22, without validating again;
 4. find K with A22 + K @ A12 Hurwitz stable (its staircase decides
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import UndetectableError, check_detectability
+from .analysis import UndetectableError, _staircase, _unstable_hidden_modes
 from .gains import stabilizing_gain
 from .linalg import (
     DEFAULTS,
@@ -130,7 +130,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
         stabilization subproblem; length must equal that block's
         dimension, all real parts negative, conjugate-closed.
     tol : float
-        Rank tolerance (0 selects the default rule).
+        Rank tolerance and staircase cutoff (0 selects the default rules).
     stability_tol : float, optional
         Stability band override for the detectability gate.
 
@@ -151,13 +151,14 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
     n = A.shape[0]
     p = C.shape[0]
 
-    verdict = check_detectability(A, C, tol, stability_tol)
-    if not verdict.detectable:
+    # raised before L is built, so a failed solve holds only its inputs
+    offending = _unstable_hidden_modes(_staircase(A, C, tol), stability_tol)
+    if offending:
         raise UndetectableError(
             "pair (A, C) is not detectable, so the constrained equation has no "
             "solution; offending eigenvalues: "
-            + ", ".join(f"{v:.6g}" for v in verdict.offending),
-            verdict.offending,
+            + ", ".join(f"{v:.6g}" for v in offending),
+            offending,
         )
 
     part = _partition(A, C, tol)

@@ -65,8 +65,9 @@ def random_detectable_pair(rng, n, p, n_hidden=None):
 def random_undetectable_pair(rng, n, p):
     """Pair with at least one planted unstable unobservable mode.
 
-    Returns (A, C, bad) with ``bad`` the unstable hidden eigenvalues.
-    Requires p < n.
+    Returns (A, C, bad) with ``bad`` the planted unstable mode.  Zeroing
+    the first row and column of the stable S can leave other hidden modes
+    unstable too, so ``bad`` need not list all of them.  Requires p < n.
     """
     q = int(rng.integers(1, n - p + 1))
     Ao, Co = random_observable_pair(rng, n - q, p)

@@ -272,12 +272,23 @@ class TestDiagnosticExit:
         err = capsys.readouterr().err
         assert "stability region" in err and "-5000" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nonfinite_metrics_are_json_null(self, tmp_path, capsys):
-        # an undamped 5000 rad/s plant mode diverges under RK4 at dt = 1e-3;
-        # the metrics are NaN and --json must still print valid JSON
+    def test_undamped_fast_plant_step_exits_1(self, tmp_path, capsys):
+        # |R(5i)| = 21.5: an undamped 5000 rad/s plant mode is outside the
+        # RK4 region at dt = 1e-3, which is the step's fault, not the observer's
         path = write_system(
             tmp_path, A=np.array([[0.0, 5000.0], [-5000.0, 0.0]]), B=np.array([[0.0], [1.0]])
+        )
+        code = main(["simulate", path, "--t-final", "1", "--x0=1,0", "--z0=1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stability region" in err and "5000j" in err and "dt = 0.001" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_metrics_are_json_null(self, tmp_path, capsys):
+        # a real plant instability at 800 /s overflows within 1 s; the
+        # metrics are NaN and --json must still print valid JSON
+        path = write_system(
+            tmp_path, A=np.array([[800.0, 1.0], [0.0, -1.0]]), B=np.array([[0.0], [1.0]])
         )
         code = main(["simulate", path, "--t-final", "1", "--x0=1,0", "--z0=1", "--json"])
         out = capsys.readouterr().out

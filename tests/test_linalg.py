@@ -9,7 +9,39 @@ from sylvobs import (
     solve_linear,
     spectral_abscissa,
 )
+from sylvobs.linalg import as_matrix
 from tests.conftest import assert_multiset_close
+
+
+class TestAsMatrix:
+    def test_valid_float64_kept_by_reference(self):
+        M = np.arange(6.0).reshape(2, 3)
+        assert np.shares_memory(as_matrix(M), M)
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            [[1, 2], [3, 4]],
+            np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+            np.arange(4, dtype=np.float32).reshape(2, 2),
+        ],
+        ids=["int-list", "fortran", "float32"],
+    )
+    def test_other_input_converted(self, M):
+        A = as_matrix(M)
+        assert A.dtype == np.float64 and A.flags.c_contiguous
+        assert not np.shares_memory(A, M)
+        assert_allclose(A, np.asarray(M, dtype=float))
+
+    def test_checks_kept(self):
+        for M, match in (
+            ([[1.0, np.nan]], "finite"),
+            (np.zeros((2, 2, 2)), "2-D"),
+            (np.zeros((0, 3)), "non-empty"),
+            ([["a"]], "real matrix"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                as_matrix(M)
 
 
 class TestRank:

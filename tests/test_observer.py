@@ -1,9 +1,36 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sylvobs import Plant, ReducedObserver, UndetectableError, synthesize_observer
-from tests.conftest import random_detectable_pair
+import sylvobs
+from sylvobs import (
+    Plant,
+    ReducedObserver,
+    SimulationConfig,
+    UndetectableError,
+    load_matrices,
+    save_matrices,
+    simulate,
+    synthesize_observer,
+)
+from tests.conftest import random_detectable_pair, random_undetectable_pair
+
+PACKAGE_DIR = Path(sylvobs.__file__).resolve().parent
+
+
+def _frame_arrays(frame):
+    """ndarray locals of a frame, and the ndarray fields of dataclass locals."""
+    for name, value in frame.f_locals.items():
+        if isinstance(value, np.ndarray):
+            yield name, value
+        elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+            for f in dataclasses.fields(value):
+                field = getattr(value, f.name)
+                if isinstance(field, np.ndarray):
+                    yield f"{name}.{f.name}", field
 
 
 def worked_plant():
@@ -42,6 +69,43 @@ class TestSynthesis:
         plant = Plant(A=np.eye(2), B=np.ones((2, 1)), C=np.array([[1.0, 0.0]]))
         with pytest.raises(UndetectableError):
             synthesize_observer(plant)
+
+    def test_failed_solve_pins_only_inputs(self):
+        # the arrays a raised exception keeps alive are its frames' locals;
+        # a failed synthesis must not leave n x n work arrays among them
+        rng = np.random.default_rng(41)
+        n, p = 64, 8
+        A, C, _ = random_undetectable_pair(rng, n, p)
+        B = rng.standard_normal((n, 2))
+        with pytest.raises(UndetectableError) as excinfo:
+            synthesize_observer(Plant(A, B, C))
+        library_frames = 0
+        tb = excinfo.value.__traceback__
+        while tb is not None:
+            frame = tb.tb_frame
+            if Path(frame.f_code.co_filename).resolve().is_relative_to(PACKAGE_DIR):
+                library_frames += 1
+                for name, arr in _frame_arrays(frame):
+                    if arr.size >= n * n:
+                        assert any(np.shares_memory(arr, M) for M in (A, B, C)), (
+                            f"{frame.f_code.co_name} holds {name} {arr.shape}"
+                        )
+            tb = tb.tb_next
+        assert library_frames >= 2
+
+    def test_read_only_inputs(self, tmp_path):
+        # no routine writes into the arrays it validated
+        A, B, C = np.array([[0.0, 1.0], [-2.0, -3.0]]), np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]])
+        x0 = np.array([1.0, 0.0])
+        for M in (A, B, C, x0):
+            M.flags.writeable = False
+        plant = Plant(A, B, C)
+        obs = synthesize_observer(plant)
+        trace = simulate(plant, obs, x0, np.zeros(obs.order), SimulationConfig(t_final=0.1))
+        assert np.all(np.isfinite(trace.x))
+        path = tmp_path / "plant.json"
+        save_matrices(path, {"A": plant.A, "B": plant.B, "C": plant.C, "T": obs.T})
+        assert np.array_equal(load_matrices(path)["A"], A)
 
     def test_invariants_random(self):
         rng = np.random.default_rng(40)

@@ -195,6 +195,39 @@ class TestSimulate:
             trace = simulate(plant, obs, [1.0, 0.0], [0.0], cfg)
             assert np.all(np.isfinite(trace.x))
 
+    def test_undamped_fast_mode_rejected(self):
+        # |R(5i)| = 21.5 at dt = 1e-3: without the check the trace is NaN
+        A = np.array([[0.0, 5000.0], [-5000.0, 0.0]])
+        plant = Plant(A, np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]]))
+        obs = synthesize_observer(plant)
+        with pytest.raises(ValueError, match=r"5000j.*\|R\(dt \* lam\)\| = 21\.49"):
+            simulate(plant, obs, [1.0, 0.0], [1.0], SimulationConfig(t_final=1.0, dt=1e-3))
+        trace = simulate(plant, obs, [1.0, 0.0], [1.0], SimulationConfig(t_final=1e-2, dt=1e-4))
+        assert np.all(np.isfinite(trace.x))
+
+    @pytest.mark.parametrize("dt", [1e-3, 1e-5, 1e-7])
+    def test_marginal_modes_within_region_pass(self, dt):
+        # lam = 0, slow oscillators, and an oscillator just inside the axis
+        # bound |dt Im lam| < 2 sqrt(2), with round-off real parts of either sign
+        C = np.array([[1.0, 0.0]])
+        for A in (
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            np.array([[1e-15, 1.0], [-1.0, 1e-15]]),
+            np.array([[0.0, 2.8 / dt], [-2.8 / dt, 0.0]]),
+        ):
+            plant = Plant(A, np.ones((2, 1)), C)
+            obs = synthesize_observer(plant, [-1.0])
+            trace = simulate(plant, obs, [1.0, 0.0], [0.0], SimulationConfig(t_final=10 * dt, dt=dt))
+            assert np.all(np.isfinite(trace.x))
+
+    def test_unstable_modes_not_checked(self):
+        # growth of an unstable mode is the plant's own, whatever the step
+        plant = Plant(np.array([[3000.0]]), np.ones((1, 1)), np.ones((1, 1)))
+        obs = synthesize_observer(plant)
+        trace = simulate(plant, obs, [1.0], [], SimulationConfig(t_final=5e-3, dt=1e-3))
+        assert np.all(np.diff(trace.x[:, 0]) > 0.0)
+
     def test_trace_lengths(self):
         plant, obs = worked_setup()
         trace = simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=1.0, dt=0.25))

@@ -167,6 +167,18 @@ class TestRandomRoundTrip:
             solve_constrained_sylvester(A, C)
         assert min(abs(v - bad[0]) for v in excinfo.value.offending) <= 1e-6
 
+    @pytest.mark.parametrize("draw", [704, 1692, 3766])
+    def test_every_unstable_hidden_mode_named(self, draw):
+        # zeroing S's first row and column leaves a second unstable hidden
+        # mode on these draws; PBH at the default eps rule names only it
+        A, C, bad = random_undetectable_pair(np.random.default_rng((9, draw)), 8, 1)
+        expected = check_detectability(A, C, STRUCT_TOL).offending
+        assert len(expected) == 2
+        assert min(abs(v - bad[0]) for v in expected) <= 1e-6
+        with pytest.raises(UndetectableError) as excinfo:
+            solve_constrained_sylvester(A, C)
+        assert_multiset_close(excinfo.value.offending, expected, 1e-6)
+
     def test_partition_equivalence(self):
         rng = np.random.default_rng(32)
         for trial in range(60):
