@@ -159,11 +159,12 @@ def _row_compress(B, cutoff):
     return _canonical_signs(U), r
 
 
-def _stair_recurse(A, B, cutoff):
+def _stair_recurse(A, B, cutoff, rank_B=None):
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0)), 0
     U1, r = _row_compress(B, cutoff)
+    r = r if rank_B is None else rank_B
     if r == 0:
         return np.eye(n), 0
     A1 = U1.T @ A @ U1
@@ -175,7 +176,7 @@ def _stair_recurse(A, B, cutoff):
     return U, r + nc2
 
 
-def _ctrb_staircase(A, B, tol):
+def _ctrb_staircase(A, B, tol, rank_B=None):
     """Orthogonal U with U.T A U = [[Ac, X], [0, Auc]], U.T B = [B1; 0].
 
     Returns ``(U, nc)`` where nc is the controllable-subspace dimension.
@@ -186,16 +187,19 @@ def _ctrb_staircase(A, B, tol):
     splits must treat coupling blocks at accumulated-round-off size
     (which upstream similarity transforms can push well above eps) as
     zero, or garbage blocks masquerade as observable directions.
+
+    A given ``rank_B`` (B exact, e.g. orthonormal) fixes the first stage's
+    rank, and the default cutoff is then sqrt(eps) * ||A||, free of B's scale.
     """
     if tol > 0:
         cutoff = tol
     else:
         scale = 0.0
-        for M in (A, B):
+        for M in (A,) if rank_B is not None else (A, B):
             if M.size:
                 scale = max(scale, float(np.linalg.norm(M, 2)))
         cutoff = np.sqrt(np.finfo(float).eps) * scale
-    return _stair_recurse(A, B, cutoff)
+    return _stair_recurse(A, B, cutoff, rank_B)
 
 
 def obs_decompose(A, C, tol=0.0):
@@ -218,9 +222,10 @@ def _unstable_hidden_modes(dec, stability_tol=None):
     return [complex(v) for v in eigenvalues(dec.A22) if v.real >= -band]
 
 
-def _staircase(A, C, tol):
-    """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``."""
-    Tsim, no = _ctrb_staircase(A.T, C.T, tol)
+def _staircase(A, C, tol, rank_C=None):
+    """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``.
+    ``rank_C`` as ``rank_B`` of :func:`_ctrb_staircase`."""
+    Tsim, no = _ctrb_staircase(A.T, C.T, tol, rank_C)
     At = Tsim.T @ A @ Tsim
     Ct = C @ Tsim
     return ObsDecomposition(

@@ -20,7 +20,8 @@ __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
 @dataclass(frozen=True)
 class Plant:
     """State-space triple (A, B, C); C must have full row rank.  C-ordered
-    float64 arrays are kept by reference, not copied."""
+    float64 arrays are kept by reference, as read-only views: pass a copy
+    of an array that you will write into later."""
 
     A: np.ndarray
     B: np.ndarray
@@ -39,9 +40,10 @@ class Plant:
             raise ValueError(f"C must have {n} columns, got {C.shape[1]}")
         if rank_tol(C) < C.shape[0]:
             raise ValueError("C must have full row rank")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
+        for name, M in (("A", A), ("B", B), ("C", C)):
+            M = M.view()
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
 
     @property
     def n(self):

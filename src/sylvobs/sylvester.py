@@ -8,11 +8,12 @@ iff the pair (A, C) is detectable.  ``solve_constrained_sylvester`` is
 one pass in which each check runs once:
 
 1. validate (A, C), the full row rank of C included;
-2. detectability verdict from the staircase of (A, C), before L is built;
+2. detectability verdict from the staircase of (A, Q), with Q an
+   orthonormal basis of the row space of C, before L is built;
 3. build L with C @ L = [I_p, 0] and partition inv(L) @ A @ L into
    blocks A11 (p x p), A12, A21, A22, without validating again;
 4. find K with A22 + K @ A12 Hurwitz stable (its staircase decides
-   what is placed);
+   what is placed; A12 is taken in Q's basis, so C's scale is out);
 5. assemble T = [K, I] @ inv(L), F = A22 + K @ A12,
    G = K @ A11 + A21 - F @ K;
 6. verify (T, F, G); the report is returned with the solution.
@@ -30,6 +31,7 @@ from .gains import stabilizing_gain
 from .linalg import (
     DEFAULTS,
     _normalizing_pair,
+    _rank_cutoff,
     as_matrix,
     as_square,
     rank_tol,
@@ -82,6 +84,7 @@ class OutputPartition:
 
 
 def _validated_system(A, C, tol):
+    """Validated (A, C) and the thin SVD ``(U, s, Q)`` of C."""
     A = as_square(A, "A")
     C = as_matrix(C, "C")
     n = A.shape[0]
@@ -90,9 +93,10 @@ def _validated_system(A, C, tol):
         raise ValueError(f"C must have {n} columns to match A, got {C.shape[1]}")
     if p > n:
         raise ValueError(f"C must have at most {n} rows, got {p}")
-    if rank_tol(C, tol) < p:
+    svd = np.linalg.svd(C, full_matrices=False)
+    if np.count_nonzero(svd[1] > _rank_cutoff(C.shape, svd[1], tol)) < p:
         raise ValueError("C must have full row rank")
-    return A, C
+    return A, C, svd
 
 
 def _partition(A, C, tol):
@@ -116,7 +120,7 @@ def partition_by_output(A, C, tol=0.0):
     Returns the transform pair and the four blocks of inv(L) @ A @ L,
     split after the first p rows/columns.
     """
-    return _partition(*_validated_system(A, C, tol), tol)
+    return _partition(*_validated_system(A, C, tol)[:2], tol)
 
 
 def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None):
@@ -147,12 +151,12 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
         The pair is not detectable: no Hurwitz-stable, full-rank
         solution exists at all.
     """
-    A, C = _validated_system(A, C, tol)
+    A, C, (U, s, Q) = _validated_system(A, C, tol)
     n = A.shape[0]
     p = C.shape[0]
 
     # raised before L is built, so a failed solve holds only its inputs
-    offending = _unstable_hidden_modes(_staircase(A, C, tol), stability_tol)
+    offending = _unstable_hidden_modes(_staircase(A, Q, tol, p), stability_tol)
     if offending:
         raise UndetectableError(
             "pair (A, C) is not detectable, so the constrained equation has no "
@@ -167,7 +171,9 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
             raise ValueError("desired poles must be empty when the observer order is 0")
         K = np.zeros((0, p))
     else:
-        K = stabilizing_gain(part.A22, part.A12, desired, tol, stability_tol)
+        # C = U diag(s) Q, so A12 = U diag(s) (Q A N): place on Q A N
+        Kq = stabilizing_gain(part.A22, U.T @ part.A12 / s[:, None], desired, tol, stability_tol)
+        K = Kq / s @ U.T
 
     F = part.A22 + K @ part.A12
     T = np.hstack([K, np.eye(n - p)]) @ part.Linv

@@ -107,6 +107,16 @@ class TestSynthesis:
         save_matrices(path, {"A": plant.A, "B": plant.B, "C": plant.C, "T": obs.T})
         assert np.array_equal(load_matrices(path)["A"], A)
 
+    def test_plant_arrays_read_only(self):
+        # the plant shares the caller's float64 arrays but cannot write them
+        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+        plant = Plant(A, [[0.0], [1.0]], [[1.0, 0.0]])
+        assert np.shares_memory(plant.A, A)
+        assert A.flags.writeable
+        for M in (plant.A, plant.B, plant.C):
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 1.0
+
     def test_invariants_random(self):
         rng = np.random.default_rng(40)
         for _ in range(30):

@@ -107,6 +107,29 @@ class TestDegenerate:
         assert sol.T.shape == (0, 1)
 
 
+class TestScale:
+    """Detectable pairs whose C is far from the scale of A, or whose A is
+    stiff: the solve must agree with check_detectability on them."""
+
+    @pytest.mark.parametrize(
+        "A, C",
+        [
+            # observable double integrator measured through a large C
+            ([[0.0, 1e-3], [0.0, 0.0]], [[1e5, 0.0]]),
+            # measured integrator beside a fast stable mode
+            (np.diag([0.0, -1e8]), [[1.0, 0.0]]),
+            # triple integrator: A12 alone would carry C's scale into the
+            # staircase that places the poles
+            (np.diag([1.0, 1.0], 1), [[1e10, 0.0, 0.0]]),
+        ],
+    )
+    def test_detectable_pair_solved(self, A, C):
+        assert check_detectability(A, C).detectable
+        sol = solve_constrained_sylvester(A, C)
+        assert sol.report.F_spectral_abscissa < 0.0
+        assert sol.report.T_rank == np.shape(A)[0] - 1
+
+
 class TestVerifyReport:
     def test_zero_T_flagged(self):
         rep = verify_solution(A_CHAIN, C_CHAIN, np.zeros((1, 2)), [[-1.0]], [[0.0]])
@@ -178,6 +201,16 @@ class TestRandomRoundTrip:
         with pytest.raises(UndetectableError) as excinfo:
             solve_constrained_sylvester(A, C)
         assert_multiset_close(excinfo.value.offending, expected, 1e-6)
+
+    def test_verdict_independent_of_output_basis(self):
+        # C -> M C leaves the unobservable modes unchanged, whatever M's scale
+        A, C, _ = random_undetectable_pair(np.random.default_rng((9, 704)), 8, 1)
+        with pytest.raises(UndetectableError) as excinfo:
+            solve_constrained_sylvester(A, C)
+        for scale in (1e-8, 1e8):
+            with pytest.raises(UndetectableError) as scaled:
+                solve_constrained_sylvester(A, scale * C)
+            assert_multiset_close(scaled.value.offending, excinfo.value.offending, 1e-6)
 
     def test_partition_equivalence(self):
         rng = np.random.default_rng(32)
