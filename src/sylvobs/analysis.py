@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULTS,
+    _EPS,
     _canonical_signs,
     _rank_any,
     as_matrix,
@@ -159,47 +160,22 @@ def _row_compress(B, cutoff):
     return _canonical_signs(U), r
 
 
-def _stair_recurse(A, B, cutoff, rank_B=None):
+def _stair_recurse(A, B, cutoff):
+    """Orthogonal U with U.T A U = [[Ac, X], [0, Auc]], U.T B = [B1; 0], and
+    the controllable-subspace dimension; every stage uses one ``cutoff``."""
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0)), 0
     U1, r = _row_compress(B, cutoff)
-    r = r if rank_B is None else rank_B
     if r == 0:
         return np.eye(n), 0
-    A1 = U1.T @ A @ U1
     if r == n:
         return U1, n
+    A1 = U1.T @ A @ U1
     U2, nc2 = _stair_recurse(A1[r:, r:], A1[r:, :r], cutoff)
     U = U1.copy()
     U[:, r:] = U1[:, r:] @ U2
     return U, r + nc2
-
-
-def _ctrb_staircase(A, B, tol, rank_B=None):
-    """Orthogonal U with U.T A U = [[Ac, X], [0, Auc]], U.T B = [B1; 0].
-
-    Returns ``(U, nc)`` where nc is the controllable-subspace dimension.
-    Recursive: compress the input block, then stair the trailing pair.
-    All stages share one absolute cutoff derived from the full pair.
-
-    The default cutoff is sqrt(eps) * max(||A||, ||B||): structural
-    splits must treat coupling blocks at accumulated-round-off size
-    (which upstream similarity transforms can push well above eps) as
-    zero, or garbage blocks masquerade as observable directions.
-
-    A given ``rank_B`` (B exact, e.g. orthonormal) fixes the first stage's
-    rank, and the default cutoff is then sqrt(eps) * ||A||, free of B's scale.
-    """
-    if tol > 0:
-        cutoff = tol
-    else:
-        scale = 0.0
-        for M in (A,) if rank_B is not None else (A, B):
-            if M.size:
-                scale = max(scale, float(np.linalg.norm(M, 2)))
-        cutoff = np.sqrt(np.finfo(float).eps) * scale
-    return _stair_recurse(A, B, cutoff, rank_B)
 
 
 def obs_decompose(A, C, tol=0.0):
@@ -222,10 +198,28 @@ def _unstable_hidden_modes(dec, stability_tol=None):
     return [complex(v) for v in eigenvalues(dec.A22) if v.real >= -band]
 
 
-def _staircase(A, C, tol, rank_C=None):
+def _undetectable(offending):
+    """The error naming a pair's unstable unobservable eigenvalues."""
+    return UndetectableError(
+        "pair (A, C) is not detectable; unstable unobservable eigenvalues: "
+        + ", ".join(f"{v:.6g}" for v in offending),
+        offending,
+    )
+
+
+def _staircase(A, C, tol, scale=None):
     """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``.
-    ``rank_C`` as ``rank_B`` of :func:`_ctrb_staircase`."""
-    Tsim, no = _ctrb_staircase(A.T, C.T, tol, rank_C)
+
+    The rank cutoff is ``tol`` if positive, else sqrt(eps) times the
+    largest 2-norm of A and C, or of ``scale`` when given.  Structural
+    splits must treat coupling blocks at accumulated-round-off size (which
+    upstream similarity transforms can push well above eps) as zero, or
+    garbage blocks masquerade as observable directions.
+    """
+    if tol <= 0:
+        mats = (A, C) if scale is None else (scale,)
+        tol = np.sqrt(_EPS) * max((np.linalg.norm(M, 2) for M in mats if M.size), default=0.0)
+    Tsim, no = _stair_recurse(A.T, C.T, tol)
     At = Tsim.T @ A @ Tsim
     Ct = C @ Tsim
     return ObsDecomposition(

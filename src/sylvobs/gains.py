@@ -4,7 +4,11 @@
 observable pairs.  ``stabilizing_gain`` stabilizes any detectable pair
 from the observability staircase alone: poles go on its observable block,
 its unobservable modes are left in place, and one of them that is not
-stable makes the pair undetectable.  No PBH sweep runs here.
+stable makes the pair undetectable.  No PBH sweep runs here.  The
+placement is the private ``_staircase_gain``, which takes a staircase
+already computed: ``stabilizing_gain`` calls it after its own, and the
+Sylvester solve after the one that gave its verdict, so poles are placed
+on exactly the block the verdict called observable.
 
 The assignment algorithm works on the dual state-feedback problem
 (A.T, C.T) and is recursive: each step inserts one real eigenvalue, or
@@ -17,7 +21,7 @@ unique; the result is deterministic but only the spectrum is contracted.
 
 import numpy as np
 
-from .analysis import UndetectableError, _staircase, _unstable_hidden_modes, check_observability
+from .analysis import _staircase, _undetectable, _unstable_hidden_modes, check_observability
 from .linalg import _rank_cutoff, as_matrix, as_square, spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
@@ -222,39 +226,36 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     """
     A = as_square(Ao, "Ao")
     C = as_matrix(Co, "Co")
-    n = A.shape[0]
-    p = C.shape[0]
-    if C.shape[1] != n:
-        raise ValueError(f"Co must have {n} columns, got {C.shape[1]}")
-    if desired is not None:
-        poles = _as_pole_array(desired)
-        if poles.size and np.max(poles.real) >= 0.0:
-            raise ValueError("stabilization targets must have negative real parts")
-    else:
-        poles = None
-
+    if C.shape[1] != A.shape[0]:
+        raise ValueError(f"Co must have {A.shape[0]} columns, got {C.shape[1]}")
     dec = _staircase(A, C, tol)
     offending = _unstable_hidden_modes(dec, stability_tol)
     if offending:
-        raise UndetectableError(
-            "pair is not detectable; unstable unobservable eigenvalues: "
-            + ", ".join(f"{v:.6g}" for v in offending),
-            offending,
-        )
-    if poles is None:
+        raise _undetectable(offending)
+    return _staircase_gain(A, C, dec, desired)
+
+
+def _staircase_gain(A, C, dec, desired):
+    """``stabilizing_gain`` of a validated pair whose staircase ``dec`` has
+    no unstable unobservable mode."""
+    n = A.shape[0]
+    if desired is None:
         poles = default_stable_poles(dec.no)
-    elif poles.size != dec.no:
-        raise ValueError(
-            f"desired must list {dec.no} poles for the observable block, got {poles.size}"
-        )
-    _check_conjugate_closed(poles, "desired")
+    else:
+        poles = _as_pole_array(desired)
+        if poles.size and np.max(poles.real) >= 0.0:
+            raise ValueError("stabilization targets must have negative real parts")
+        if poles.size != dec.no:
+            raise ValueError(
+                f"desired must list {dec.no} poles for the observable block, got {poles.size}"
+            )
+        _check_conjugate_closed(poles, "desired")
     if dec.no == 0:
-        K = np.zeros((n, p))
+        K = np.zeros((n, C.shape[0]))
     elif dec.no == n:
         K = _place_output_injection(A, C, poles)
     else:
-        K1 = _place_output_injection(dec.A11, dec.C1, poles)
-        K = dec.Tsim @ np.vstack([K1, np.zeros((n - dec.no, p))])
+        K = dec.Tsim[:, : dec.no] @ _place_output_injection(dec.A11, dec.C1, poles)
 
     if spectral_abscissa(A + K @ C) >= 0.0:
         raise np.linalg.LinAlgError("stabilization failed verification")

@@ -180,33 +180,33 @@ def _canonical_signs(Q):
     return Q
 
 
-def _normalizing_pair(C, tol=0.0):
-    """Return ``(L, Linv)`` with ``C @ L = [I_p, 0]`` and ``Linv = inv(L)``.
+def _output_basis(C, tol=0.0):
+    """One full SVD ``C = U diag(s) Q`` of a validated C of full row rank p.
 
-    ``L = [C_right_inverse | N]`` where N is an orthonormal basis of the
-    null space of C, so ``Linv`` is exactly ``[C; N.T]`` stacked.
+    Returns ``(U, s, Q, L)`` with ``L = [Q.T diag(1/s) U.T | N]``, so that
+    ``C @ L = [I_p, 0]``, and N an orthonormal basis of the null space of
+    C with canonical column signs.  The SVD doubles as the rank check.
     """
-    C = as_matrix(C, "C")
-    p, n = C.shape
-    if p > n:
-        raise ValueError(f"C must have no more rows than columns, got {C.shape}")
+    p = C.shape[0]
     U, s, Vh = np.linalg.svd(C)
     if np.count_nonzero(s > _rank_cutoff(C.shape, s, tol)) < p:
         raise ValueError("C must have full row rank")
-    right_inv = (Vh[:p].T / s) @ U.T
-    null = _canonical_signs(Vh[p:].T)
-    L = np.hstack([right_inv, null])
-    Linv = np.vstack([C, null.T])
-    return L, Linv
+    Q = Vh[:p]
+    L = np.hstack([(Q.T / s) @ U.T, _canonical_signs(Vh[p:].T)])
+    return U, s, Q, L
 
 
 def output_normalizing_transform(C, tol=0.0):
     """Invertible n x n basis change L with ``C @ L = [I_p, 0]``.
 
     Columns ``p+1..n`` of L form an orthonormal basis of the null space
-    of C.  Requires C of full row rank p <= n.
+    of C, so ``inv(L)`` is exactly ``[C; N.T]`` stacked.  Requires C of
+    full row rank p <= n.
     """
-    return _normalizing_pair(C, tol)[0]
+    C = as_matrix(C, "C")
+    if C.shape[0] > C.shape[1]:
+        raise ValueError(f"C must have no more rows than columns, got {C.shape}")
+    return _output_basis(C, tol)[3]
 
 
 def solve_linear(M, RHS, tol=0.0):

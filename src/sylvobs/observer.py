@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, rank_tol, solve_linear
+from .linalg import as_matrix, as_vector, rank_tol
 from .sylvester import SolveReport, solve_constrained_sylvester
 
 __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
@@ -107,10 +107,11 @@ class ReducedObserver:
 def synthesize_observer(plant, desired=None, tol=0.0, stability_tol=None):
     """Build the order-(n-p) observer for a detectable plant.
 
-    Solves the constrained equation for (T, F, G), sets P = T @ B, and
-    precomputes W = inv([C; T]) once so estimation stays cheap in the
-    simulation hot path.  The solve's verification report is kept as
-    ``report``.
+    Solves the constrained equation for (T, F, G) and sets P = T @ B.
+    The solve gives ``[C; T] = [[I, 0], [K, I]] @ inv(L)``, so
+    W = inv([C; T]) = L @ [[I, 0], [-K, I]] is formed once, in closed
+    form, and checked against [C; T].  The solve's verification report is
+    kept as ``report``.
 
     Raises
     ------
@@ -121,8 +122,9 @@ def synthesize_observer(plant, desired=None, tol=0.0, stability_tol=None):
         plant = Plant(*plant)
     sol = solve_constrained_sylvester(plant.A, plant.C, desired, tol, stability_tol)
     P = sol.T @ plant.B
+    p = plant.p
+    W = np.hstack([sol.L[:, :p] - sol.L[:, p:] @ sol.K, sol.L[:, p:]])
     stacked = np.vstack([plant.C, sol.T])
-    W = solve_linear(stacked, np.eye(plant.n), tol)
     if np.linalg.norm(W @ stacked - np.eye(plant.n)) > 1e-6 * plant.n:
         raise np.linalg.LinAlgError("recombination matrix failed verification")
     return ReducedObserver(F=sol.F, G=sol.G, P=P, T=sol.T, W=W, report=sol.report)

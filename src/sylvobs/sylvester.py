@@ -4,19 +4,21 @@ equation
     T @ A - F @ T = G @ C,      det [C; T] != 0,
 
 with F Hurwitz stable and T of full row rank n - p.  A solution exists
-iff the pair (A, C) is detectable.  ``solve_constrained_sylvester`` is
-one pass in which each check runs once:
+iff the pair (A, C) is detectable.  ``solve_constrained_sylvester``
+computes each fact once, on one orthogonal split (cf. Van Dooren 1984,
+"Reduced order observers: a new algorithm and proof"):
 
-1. validate (A, C), the full row rank of C included;
-2. detectability verdict from the staircase of (A, Q), with Q an
-   orthonormal basis of the row space of C, before L is built;
-3. build L with C @ L = [I_p, 0] and partition inv(L) @ A @ L into
-   blocks A11 (p x p), A12, A21, A22, without validating again;
-4. find K with A22 + K @ A12 Hurwitz stable (its staircase decides
-   what is placed; A12 is taken in Q's basis, so C's scale is out);
-5. assemble T = [K, I] @ inv(L), F = A22 + K @ A12,
-   G = K @ A11 + A21 - F @ K;
-6. verify (T, F, G); the report is returned with the solution.
+1. one SVD ``C = U diag(s) Q`` is the rank check and gives an
+   orthonormal basis N of the null space of C and ``L = [pinv(C), N]``,
+   bit for bit the ``output_normalizing_transform`` of C;
+2. one observability staircase of the reduced pair ``(N.T A N, Q A N)``,
+   at the cutoff ``tol`` or ``sqrt(eps) * ||A||``: its unobservable block
+   gives the detectability verdict, raised before anything else is kept,
+   and the poles are placed on its observable block, giving Kq with
+   ``F = N.T A N + Kq Q A N`` Hurwitz stable;
+3. assemble ``T = Kq Q + N.T`` and G; with ``K = Kq diag(1/s) U.T``,
+   ``[C; T] = [[I, 0], [K, I]] @ inv(L)``;
+4. verify (T, F, G); the report is returned with the solution.
 
 ``verify_solution`` recomputes the defining quantities of any candidate
 (T, F, G) independently of how it was produced.
@@ -26,14 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import UndetectableError, _staircase, _unstable_hidden_modes
-from .gains import stabilizing_gain
+from .analysis import _staircase, _undetectable, _unstable_hidden_modes
+from .gains import _staircase_gain
 from .linalg import (
     DEFAULTS,
-    _normalizing_pair,
-    _rank_cutoff,
+    _output_basis,
     as_matrix,
     as_square,
+    output_normalizing_transform,
     rank_tol,
     spectral_abscissa,
 )
@@ -83,26 +85,27 @@ class OutputPartition:
     A22: np.ndarray
 
 
-def _validated_system(A, C, tol):
-    """Validated (A, C) and the thin SVD ``(U, s, Q)`` of C."""
+def _validated_system(A, C):
     A = as_square(A, "A")
     C = as_matrix(C, "C")
     n = A.shape[0]
-    p = C.shape[0]
     if C.shape[1] != n:
         raise ValueError(f"C must have {n} columns to match A, got {C.shape[1]}")
-    if p > n:
-        raise ValueError(f"C must have at most {n} rows, got {p}")
-    svd = np.linalg.svd(C, full_matrices=False)
-    if np.count_nonzero(svd[1] > _rank_cutoff(C.shape, svd[1], tol)) < p:
-        raise ValueError("C must have full row rank")
-    return A, C, svd
+    if C.shape[0] > n:
+        raise ValueError(f"C must have at most {n} rows, got {C.shape[0]}")
+    return A, C
 
 
-def _partition(A, C, tol):
-    """``partition_by_output`` of a validated pair."""
+def partition_by_output(A, C, tol=0.0):
+    """Normalize the output map and partition the state matrix.
+
+    Returns the transform pair and the four blocks of inv(L) @ A @ L,
+    split after the first p rows/columns.
+    """
+    A, C = _validated_system(A, C)
     p = C.shape[0]
-    L, Linv = _normalizing_pair(C, tol)
+    L = output_normalizing_transform(C, tol)
+    Linv = np.vstack([C, L[:, p:].T])
     A1 = Linv @ A @ L
     return OutputPartition(
         L=L,
@@ -114,13 +117,24 @@ def _partition(A, C, tol):
     )
 
 
-def partition_by_output(A, C, tol=0.0):
-    """Normalize the output map and partition the state matrix.
+def _split(A, C, tol, stability_tol):
+    """The basis along C and the staircase of the reduced pair.
 
-    Returns the transform pair and the four blocks of inv(L) @ A @ L,
-    split after the first p rows/columns.
+    Returns ``((U, s, Q, L, A22, A12, dec), [])`` for a detectable pair,
+    with ``A22 = N.T A N``, ``A12 = Q A N`` and ``dec`` their staircase,
+    and ``(None, offending)`` otherwise, so that the caller raises holding
+    none of these arrays.
     """
-    return _partition(*_validated_system(A, C, tol)[:2], tol)
+    U, s, Q, L = _output_basis(C, tol)
+    N = L[:, C.shape[0]:]
+    AN = A @ N
+    A22 = N.T @ AN
+    A12 = Q @ AN
+    dec = _staircase(A22, A12, tol, scale=A)
+    offending = _unstable_hidden_modes(dec, stability_tol)
+    if offending:
+        return None, offending
+    return (U, s, Q, L, A22, A12, dec), offending
 
 
 def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None):
@@ -130,9 +144,9 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
     ----------
     A : (n, n) array_like
     C : (p, n) array_like with full row rank, 1 <= p <= n.
-    desired : optional pole list for the observable part of the
-        stabilization subproblem; length must equal that block's
-        dimension, all real parts negative, conjugate-closed.
+    desired : optional pole list for the observable block of the reduced
+        pair; length must equal that block's dimension, all real parts
+        negative, conjugate-closed.
     tol : float
         Rank tolerance and staircase cutoff (0 selects the default rules).
     stability_tol : float, optional
@@ -151,47 +165,32 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
         The pair is not detectable: no Hurwitz-stable, full-rank
         solution exists at all.
     """
-    A, C, (U, s, Q) = _validated_system(A, C, tol)
-    n = A.shape[0]
-    p = C.shape[0]
+    A, C = _validated_system(A, C)
+    split, offending = _split(A, C, tol, stability_tol)
+    if split is None:
+        raise _undetectable(offending)
+    U, s, Q, L, A22, A12, dec = split
 
-    # raised before L is built, so a failed solve holds only its inputs
-    offending = _unstable_hidden_modes(_staircase(A, Q, tol, p), stability_tol)
-    if offending:
-        raise UndetectableError(
-            "pair (A, C) is not detectable, so the constrained equation has no "
-            "solution; offending eigenvalues: "
-            + ", ".join(f"{v:.6g}" for v in offending),
-            offending,
-        )
-
-    part = _partition(A, C, tol)
-    if n == p:
-        if desired is not None and np.atleast_1d(np.asarray(desired)).size:
-            raise ValueError("desired poles must be empty when the observer order is 0")
-        K = np.zeros((0, p))
-    else:
-        # C = U diag(s) Q, so A12 = U diag(s) (Q A N): place on Q A N
-        Kq = stabilizing_gain(part.A22, U.T @ part.A12 / s[:, None], desired, tol, stability_tol)
-        K = Kq / s @ U.T
-
-    F = part.A22 + K @ part.A12
-    T = np.hstack([K, np.eye(n - p)]) @ part.Linv
-    G = K @ part.A11 + part.A21 - F @ K
+    Kq = _staircase_gain(A22, A12, dec, desired)
+    F = A22 + Kq @ A12
+    T = Kq @ Q + L[:, C.shape[0]:].T
+    # C = U diag(s) Q: K C = Kq Q, and G = T A pinv(C) - F K
+    K = Kq / s @ U.T
+    G = (T @ A @ Q.T - F @ Kq) / s @ U.T
 
     report = verify_solution(A, C, T, F, G, tol)
     scale = DEFAULTS.residual_rtol * (1.0 + float(np.linalg.norm(A)))
     ok = (
         report.residual_norm <= scale
         and report.stacked_min_singular_value > DEFAULTS.min_stacked_sv
-        and (n == p or report.F_spectral_abscissa < 0.0)
-        and report.T_rank == n - p
+        and report.F_spectral_abscissa < 0.0
+        and report.T_rank == T.shape[0]
     )
     if not ok:
         raise np.linalg.LinAlgError(
             f"constructed solution failed verification: {report}"
         )
-    return SylvesterSolution(T=T, F=F, G=G, L=part.L, K=K, report=report)
+    return SylvesterSolution(T=T, F=F, G=G, L=L, K=K, report=report)
 
 
 def verify_solution(A, C, T, F, G, tol=0.0):

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sylvobs
+from sylvobs import analysis, gains, sylvester
 from sylvobs import (
     Plant,
     ReducedObserver,
@@ -72,7 +73,8 @@ class TestSynthesis:
 
     def test_failed_solve_pins_only_inputs(self):
         # the arrays a raised exception keeps alive are its frames' locals;
-        # a failed synthesis must not leave n x n work arrays among them
+        # a failed synthesis must not leave work arrays of n or more
+        # entries among them
         rng = np.random.default_rng(41)
         n, p = 64, 8
         A, C, _ = random_undetectable_pair(rng, n, p)
@@ -86,7 +88,7 @@ class TestSynthesis:
             if Path(frame.f_code.co_filename).resolve().is_relative_to(PACKAGE_DIR):
                 library_frames += 1
                 for name, arr in _frame_arrays(frame):
-                    if arr.size >= n * n:
+                    if arr.size >= n:
                         assert any(np.shares_memory(arr, M) for M in (A, B, C)), (
                             f"{frame.f_code.co_name} holds {name} {arr.shape}"
                         )
@@ -127,10 +129,37 @@ class TestSynthesis:
             B = rng.standard_normal((n, m))
             obs = synthesize_observer(Plant(A, B, C))
             assert_allclose(obs.P, obs.T @ B, atol=1e-12)
-            assert np.linalg.norm(
-                obs.W @ np.vstack([C, obs.T]) - np.eye(n)
-            ) <= 1e-8 * n
+            stacked = np.vstack([C, obs.T])
+            assert np.linalg.norm(obs.W @ stacked - np.eye(n)) <= 1e-8 * n
+            inverse = np.linalg.inv(stacked)
+            assert np.linalg.norm(obs.W - inverse) <= 1e-9 * np.linalg.norm(inverse)
             assert max(np.linalg.eigvals(obs.F).real) < 0.0
+
+    @pytest.mark.parametrize("n, p, n_hidden", [(7, 2, 0), (9, 4, 2)])
+    def test_each_fact_computed_once(self, monkeypatch, n, p, n_hidden):
+        # one SVD of C (besides Plant's rank check), one staircase, and W in
+        # closed form rather than from a linear solve
+        A, C, _ = random_detectable_pair(np.random.default_rng(42), n, p, n_hidden=n_hidden)
+        plant = Plant(A, np.ones((n, 1)), C)
+        calls = {"svd_of_C": 0, "staircase": 0, "solve": 0}
+
+        def counted(fn, key, applies=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                calls[key] += applies(*args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def is_C(M, *args):
+            return np.shape(M) == C.shape
+
+        monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd, "svd_of_C", is_C))
+        monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve"))
+        staircase = counted(analysis._staircase, "staircase")
+        for module in (analysis, gains, sylvester):
+            monkeypatch.setattr(module, "_staircase", staircase)
+        obs = synthesize_observer(plant)
+        assert obs.order == n - p
+        assert calls == {"svd_of_C": 1, "staircase": 1, "solve": 0}
 
     def test_plant_validation(self):
         with pytest.raises(ValueError, match="square"):

@@ -8,6 +8,7 @@ from sylvobs import (
     default_stable_poles,
     eigenvalues,
     obs_decompose,
+    output_normalizing_transform,
     partition_by_output,
     solve_constrained_sylvester,
     spectral_abscissa,
@@ -128,6 +129,17 @@ class TestScale:
         sol = solve_constrained_sylvester(A, C)
         assert sol.report.F_spectral_abscissa < 0.0
         assert sol.report.T_rank == np.shape(A)[0] - 1
+
+    def test_one_cutoff_decides_verdict_and_placement(self):
+        # the coupling 1e-4 is round-off at the scale of A: the verdict calls
+        # -3 hidden and stable, so placement must leave it where it is
+        A = np.array([[-1e8, 1e-4], [0.0, -3.0]])
+        C = np.array([[1.0, 0.0]])
+        assert check_detectability(A, C).detectable
+        sol = solve_constrained_sylvester(A, C)
+        assert np.array_equal(sol.K, [[0.0]])
+        assert np.array_equal(sol.F, [[-3.0]])
+        assert sol.report.stacked_min_singular_value == pytest.approx(1.0)
 
 
 class TestVerifyReport:
@@ -266,6 +278,7 @@ class TestRandomRoundTrip:
             block = np.block(
                 [[np.eye(p), np.zeros((p, n - p))], [sol.K, np.eye(n - p)]]
             )
+            assert np.array_equal(sol.L, output_normalizing_transform(C))
             lhs = np.vstack([C, sol.T])
             rhs = block @ np.linalg.inv(sol.L)
             assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(lhs))
