@@ -9,9 +9,7 @@ from .analysis import (
     ObsDecomposition,
     UndetectableError,
     check_detectability,
-    check_observability,
     obs_decompose,
-    pbh_eig_observable,
 )
 from .gains import default_stable_poles, place_poles, stabilizing_gain
 from .linalg import (
@@ -20,7 +18,6 @@ from .linalg import (
     eigenvalues,
     output_normalizing_transform,
     rank_tol,
-    solve_linear,
     spectral_abscissa,
 )
 from .matrixio import load_matrices, save_matrices
@@ -52,14 +49,11 @@ __all__ = [
     "eigenvalues",
     "spectral_abscissa",
     "output_normalizing_transform",
-    "solve_linear",
     "UndetectableError",
     "EigAnalysis",
     "DetectabilityVerdict",
     "ObsDecomposition",
-    "pbh_eig_observable",
     "check_detectability",
-    "check_observability",
     "obs_decompose",
     "default_stable_poles",
     "place_poles",

@@ -1,17 +1,22 @@
 """Observability and detectability analysis of a measurement pair (A, C).
 
-The per-eigenvalue test is the PBH rank criterion: an eigenvalue ``lam``
-of A is observable iff the stacked matrix ``[C; lam*I - A]`` has full
-column rank n (evaluated in complex arithmetic).  A pair is detectable
-iff every unstable eigenvalue is observable.
+Every observability verdict of the package comes from one split (cf. Van
+Dooren 1984, "Reduced order observers: a new algorithm and proof"): one
+SVD ``C = U diag(s) Q`` at C's numerical rank r, with N an orthonormal
+basis of the null space of C, and one observability staircase of the
+unmeasured pair ``(N.T A N, Q A N)``.  The measured coordinates ``Q x``
+are observable; the staircase splits the rest.  ``tol``, when positive,
+is the absolute rank cutoff of both steps; at 0 the SVD of C uses
+``max(p, n) * eps * sigma_max(C)`` and the staircase ``sqrt(eps) *
+||A||``, so no decision depends on the scale of C.
 
-``obs_decompose`` computes the orthogonal staircase form separating the
-observable subsystem from the unobservable one:
+``obs_decompose`` returns the split in full-pair form:
 
     Tsim.T @ A @ Tsim = [[A11, 0], [A21, A22]],   C @ Tsim = [C1, 0]
 
 with (A11, C1) observable and the eigenvalues of A22 exactly the
-unobservable modes.
+unobservable modes.  A pair is detectable iff every eigenvalue of A22 is
+stable; ``check_detectability`` reads its verdict off that block.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +27,7 @@ from .linalg import (
     DEFAULTS,
     _EPS,
     _canonical_signs,
-    _rank_any,
+    _output_basis,
     as_matrix,
     as_square,
     eigenvalues,
@@ -33,9 +38,7 @@ __all__ = [
     "EigAnalysis",
     "DetectabilityVerdict",
     "ObsDecomposition",
-    "pbh_eig_observable",
     "check_detectability",
-    "check_observability",
     "obs_decompose",
 ]
 
@@ -97,14 +100,6 @@ def _validated_pair(A, C):
     return A, C
 
 
-def pbh_eig_observable(A, C, lam, tol=0.0):
-    """True iff the stacked matrix ``[C; lam*I - A]`` has numerical rank n."""
-    A, C = _validated_pair(A, C)
-    n = A.shape[0]
-    stacked = np.vstack([C.astype(complex), complex(lam) * np.eye(n) - A])
-    return _rank_any(stacked, tol) == n
-
-
 def _distinct_eigenvalues(vals, match_tol):
     reps = []
     for lam in vals:
@@ -113,37 +108,32 @@ def _distinct_eigenvalues(vals, match_tol):
     return reps
 
 
-def _analyze_eigenvalues(A, C, tol, stability_tol):
-    reps = _distinct_eigenvalues(eigenvalues(A), DEFAULTS.eig_match)
-    return [
-        EigAnalysis(
-            eigenvalue=lam,
-            observable=pbh_eig_observable(A, C, lam, tol),
-            stable=lam.real < -stability_tol,
-        )
-        for lam in reps
-    ]
-
-
 def check_detectability(A, C, tol=0.0, stability_tol=None):
-    """PBH detectability verdict: every unstable eigenvalue must be observable.
+    """Detectability verdict: every unstable eigenvalue must be observable.
 
-    Eigenvalues within the stability band (``Re >= -stability_tol``) are
-    treated as unstable, so marginal modes must be observable to pass.
-    Stable eigenvalues are analyzed and reported but never offending.
+    Decided on the hidden block of :func:`obs_decompose` (same ``tol``).
+    ``per_eigenvalue`` lists the distinct eigenvalues of its observable and
+    hidden blocks, merged at ``DEFAULTS.eig_match``; one found in the
+    hidden block is unobservable.  Eigenvalues with ``Re >= -stability_tol``
+    count as unstable, so marginal modes must be observable to pass.
     """
     band = DEFAULTS.stability if stability_tol is None else stability_tol
-    per = _analyze_eigenvalues(*_validated_pair(A, C), tol, band)
-    offending = [e.eigenvalue for e in per if not e.stable and not e.observable]
+    dec = _decompose(*_validated_pair(A, C), tol)
+    hidden = eigenvalues(dec.A22)
+    merged = sorted([*eigenvalues(dec.A11), *hidden], key=lambda v: (-v.real, -v.imag))
+    match = DEFAULTS.eig_match
+    per = [
+        EigAnalysis(
+            eigenvalue=lam,
+            observable=not any(abs(lam - h) <= match * (1.0 + abs(lam)) for h in hidden),
+            stable=lam.real < -band,
+        )
+        for lam in _distinct_eigenvalues(merged, match)
+    ]
+    offending = _unstable_hidden_modes(dec, band)
     return DetectabilityVerdict(
         detectable=not offending, per_eigenvalue=per, offending=offending
     )
-
-
-def check_observability(A, C, tol=0.0):
-    """True iff every eigenvalue of A passes the PBH rank test."""
-    per = _analyze_eigenvalues(*_validated_pair(A, C), tol, DEFAULTS.stability)
-    return all(e.observable for e in per)
 
 
 def _row_compress(B, cutoff):
@@ -182,13 +172,11 @@ def obs_decompose(A, C, tol=0.0):
     """Observability staircase decomposition with orthogonal Tsim.
 
     ``no == n`` (empty A21/A22) when the pair is observable; otherwise
-    the eigenvalues of A22 are exactly the unobservable modes.
-
-    Rank decisions default to a sqrt(eps)-relative structural cutoff
-    (coarser than the PBH tests, which use the exact SVD rank rule);
-    pass ``tol`` explicitly for a different split.
+    the eigenvalues of A22 are exactly the unobservable modes.  ``tol`` is
+    the rank cutoff of the split (module docstring) for C and for the
+    staircase; C may be rank deficient or have more rows than columns.
     """
-    return _staircase(*_validated_pair(A, C), tol)
+    return _decompose(*_validated_pair(A, C), tol)
 
 
 def _unstable_hidden_modes(dec, stability_tol=None):
@@ -207,19 +195,44 @@ def _undetectable(offending):
     )
 
 
-def _staircase(A, C, tol, scale=None):
-    """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``.
+def _obs_split(A, C, tol):
+    """The observability split (module docstring) of a validated pair, C of
+    any row rank: ``(U, s, Q, N, A22, A12, dec)`` with ``A22 = N.T A N``,
+    ``A12 = Q A N`` and ``dec`` their staircase."""
+    U, s, Q, N = _output_basis(C, tol)
+    AN = A @ N
+    A22 = N.T @ AN
+    A12 = Q @ AN
+    cutoff = tol if tol > 0 else np.sqrt(_EPS) * np.linalg.norm(A, 2)
+    return U, s, Q, N, A22, A12, _staircase(A22, A12, cutoff)
 
-    The rank cutoff is ``tol`` if positive, else sqrt(eps) times the
-    largest 2-norm of A and C, or of ``scale`` when given.  Structural
-    splits must treat coupling blocks at accumulated-round-off size (which
-    upstream similarity transforms can push well above eps) as zero, or
-    garbage blocks masquerade as observable directions.
+
+def _decompose(A, C, tol):
+    """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``.
+    The measured coordinates ``Q x`` are observable, and A22 is the split's
+    own hidden block, so every verdict reads the same one."""
+    _, s, Q, N, _, _, dec = _obs_split(A, C, tol)
+    no = s.size + dec.no
+    Tsim = np.hstack([_canonical_signs(Q.T), N @ dec.Tsim])
+    At = Tsim.T @ A @ Tsim
+    return ObsDecomposition(
+        Tsim=Tsim,
+        A11=At[:no, :no],
+        A21=At[no:, :no],
+        A22=dec.A22,
+        C1=C @ Tsim[:, :no],
+        no=no,
+    )
+
+
+def _staircase(A, C, cutoff):
+    """``ObsDecomposition`` of a pair at the absolute rank ``cutoff``.
+
+    Structural splits must treat coupling blocks at accumulated-round-off
+    size (which upstream similarity transforms can push well above eps) as
+    zero, or garbage blocks masquerade as observable directions.
     """
-    if tol <= 0:
-        mats = (A, C) if scale is None else (scale,)
-        tol = np.sqrt(_EPS) * max((np.linalg.norm(M, 2) for M in mats if M.size), default=0.0)
-    Tsim, no = _stair_recurse(A.T, C.T, tol)
+    Tsim, no = _stair_recurse(A.T, C.T, cutoff)
     At = Tsim.T @ A @ Tsim
     Ct = C @ Tsim
     return ObsDecomposition(

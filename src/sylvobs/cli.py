@@ -211,7 +211,9 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("system", help="JSON matrix file (see README for the schema)")
-        p.add_argument("--tol", type=float, default=1e-9, help="rank tolerance")
+        p.add_argument(
+            "--tol", type=float, default=1e-9, help="rank cutoff of C and of the observability staircase"
+        )
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
     p = sub.add_parser("check", help="detectability verdict for (A, C)")

@@ -1,14 +1,14 @@
 """Output-injection gain synthesis.
 
 ``place_poles`` assigns an exact closed-loop spectrum ``A + K @ C`` for
-observable pairs.  ``stabilizing_gain`` stabilizes any detectable pair
-from the observability staircase alone: poles go on its observable block,
-its unobservable modes are left in place, and one of them that is not
-stable makes the pair undetectable.  No PBH sweep runs here.  The
-placement is the private ``_staircase_gain``, which takes a staircase
-already computed: ``stabilizing_gain`` calls it after its own, and the
-Sylvester solve after the one that gave its verdict, so poles are placed
-on exactly the block the verdict called observable.
+observable pairs.  ``stabilizing_gain`` stabilizes any detectable pair.
+Both decide observability by the one split of ``analysis``: poles go on
+its observable block, its unobservable modes are left in place, and one
+of them that is not stable makes the pair undetectable.  The placement is
+the private ``_staircase_gain``, which takes a decomposition already
+computed: ``stabilizing_gain`` calls it after its own, and the Sylvester
+solve after the staircase that gave its verdict, so poles are placed on
+exactly the block the verdict called observable.
 
 The assignment algorithm works on the dual state-feedback problem
 (A.T, C.T) and is recursive: each step inserts one real eigenvalue, or
@@ -21,7 +21,7 @@ unique; the result is deterministic but only the spectrum is contracted.
 
 import numpy as np
 
-from .analysis import _staircase, _undetectable, _unstable_hidden_modes, check_observability
+from .analysis import _decompose, _undetectable, _unstable_hidden_modes
 from .linalg import _rank_cutoff, as_matrix, as_square, spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
@@ -172,8 +172,8 @@ def place_poles(Ao, Co, desired, tol=0.0):
     desired : length-n sequence of numbers, closed under conjugation.
         Any target spectrum is allowed (not only stable ones).
     tol : float
-        Rank tolerance forwarded to the observability check; 0 selects
-        the default rule.
+        Rank cutoff for C and for the staircase of the observability
+        split (see ``analysis``); 0 selects the default rules.
 
     Returns
     -------
@@ -193,7 +193,7 @@ def place_poles(Ao, Co, desired, tol=0.0):
     if poles.size != n:
         raise ValueError(f"desired must list {n} poles, got {poles.size}")
     _check_conjugate_closed(poles, "desired")
-    if not check_observability(A, C, tol):
+    if _decompose(A, C, tol).no < n:
         raise ValueError("pair is not observable; exact eigenvalue assignment impossible")
     return _place_output_injection(A, C, poles)
 
@@ -208,7 +208,8 @@ def _place_output_injection(A, C, poles):
 def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     """Gain K making ``Ao + K @ Co`` Hurwitz stable, for detectable pairs.
 
-    The pair is staircase-decomposed, poles are placed on the observable
+    The pair is split as in :func:`obs_decompose` (``tol`` is its rank
+    cutoff for C and the staircase), poles are placed on the observable
     block only, and the gain is embedded as ``Tsim @ [K1; 0]`` so the
     stable unobservable modes keep their eigenvalues in the closed loop.
     An observable pair gets a full spectrum assignment; a zero Co has an
@@ -228,7 +229,7 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     C = as_matrix(Co, "Co")
     if C.shape[1] != A.shape[0]:
         raise ValueError(f"Co must have {A.shape[0]} columns, got {C.shape[1]}")
-    dec = _staircase(A, C, tol)
+    dec = _decompose(A, C, tol)
     offending = _unstable_hidden_modes(dec, stability_tol)
     if offending:
         raise _undetectable(offending)

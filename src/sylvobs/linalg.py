@@ -5,9 +5,10 @@ semantics.  Inputs are validated once at the boundary: entries must be
 real and finite.  All routines are pure functions of their arguments and
 never mutate them, so concurrent use is safe.
 
-Tolerance handling is centralised in :class:`Tolerances`.  Passing
-``tol=0.0`` to a rank-style routine selects the default SVD rule
-``max(rows, cols) * eps * sigma_max``.
+Tolerance defaults are centralised in :class:`Tolerances`.  Rank
+cutoffs are a ``tol`` argument instead: ``tol=0.0`` selects the default
+SVD rule ``max(rows, cols) * eps * sigma_max``, a positive ``tol`` is an
+absolute cutoff.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,6 @@ __all__ = [
     "eigenvalues",
     "spectral_abscissa",
     "output_normalizing_transform",
-    "solve_linear",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -36,9 +36,6 @@ class Tolerances:
 
     Attributes
     ----------
-    rank : float
-        Absolute singular-value cutoff for rank decisions.  ``0.0``
-        selects ``max(rows, cols) * eps * sigma_max``.
     stability : float
         Half-plane band: an eigenvalue counts as stable only when
         ``Re(lam) < -stability``.  Marginal modes are treated as
@@ -56,7 +53,6 @@ class Tolerances:
         Division guard for ratios of near-zero error norms.
     """
 
-    rank: float = 0.0
     stability: float = 1e-9
     eig_match: float = 1e-8
     residual_rtol: float = 1e-8
@@ -127,21 +123,17 @@ def _rank_cutoff(shape, svals, tol):
     return max(shape) * _EPS * smax
 
 
-def _rank_any(A, tol):
-    # works for real or complex input; A already an ndarray
-    if A.size == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.count_nonzero(s > _rank_cutoff(A.shape, s, tol)))
-
-
 def rank_tol(M, tol=0.0):
     """Numerical rank: number of singular values above the cutoff.
 
     With ``tol == 0`` the cutoff is ``max(rows, cols) * eps * sigma_max``;
     a positive ``tol`` is used directly as an absolute cutoff.
     """
-    return _rank_any(as_matrix(M, allow_empty=True), tol)
+    A = as_matrix(M, allow_empty=True)
+    if A.size == 0:
+        return 0
+    s = np.linalg.svd(A, compute_uv=False)
+    return int(np.count_nonzero(s > _rank_cutoff(A.shape, s, tol)))
 
 
 def eigenvalues(M):
@@ -181,19 +173,22 @@ def _canonical_signs(Q):
 
 
 def _output_basis(C, tol=0.0):
-    """One full SVD ``C = U diag(s) Q`` of a validated C of full row rank p.
+    """One full SVD ``C = U diag(s) Q`` of a validated C, truncated to its
+    numerical rank r (the rule of :func:`rank_tol`).
 
-    Returns ``(U, s, Q, L)`` with ``L = [Q.T diag(1/s) U.T | N]``, so that
-    ``C @ L = [I_p, 0]``, and N an orthonormal basis of the null space of
-    C with canonical column signs.  The SVD doubles as the rank check.
+    Returns ``(U, s, Q, N)``: U is p x r, s has r entries, Q is r x n with
+    orthonormal rows, and N is an orthonormal basis of the numerical null
+    space of C with canonical column signs, so ``[Q.T, N]`` is orthogonal.
     """
-    p = C.shape[0]
     U, s, Vh = np.linalg.svd(C)
-    if np.count_nonzero(s > _rank_cutoff(C.shape, s, tol)) < p:
-        raise ValueError("C must have full row rank")
-    Q = Vh[:p]
-    L = np.hstack([(Q.T / s) @ U.T, _canonical_signs(Vh[p:].T)])
-    return U, s, Q, L
+    r = int(np.count_nonzero(s > _rank_cutoff(C.shape, s, tol)))
+    return U[:, :r], s[:r], Vh[:r], _canonical_signs(Vh[r:].T)
+
+
+def _normalizing_transform(U, s, Q, N):
+    """``L = [Q.T diag(1/s) U.T | N]`` from a full-row-rank ``_output_basis``,
+    so that ``C @ L = [I_p, 0]`` and ``inv(L) = [C; N.T]``."""
+    return np.hstack([(Q.T / s) @ U.T, N])
 
 
 def output_normalizing_transform(C, tol=0.0):
@@ -206,24 +201,7 @@ def output_normalizing_transform(C, tol=0.0):
     C = as_matrix(C, "C")
     if C.shape[0] > C.shape[1]:
         raise ValueError(f"C must have no more rows than columns, got {C.shape}")
-    return _output_basis(C, tol)[3]
-
-
-def solve_linear(M, RHS, tol=0.0):
-    """Solve ``M @ X = RHS`` for square M, rejecting singular systems.
-
-    Raises ``numpy.linalg.LinAlgError`` when M is singular at the rank
-    tolerance (same cutoff rule as :func:`rank_tol`).
-    """
-    A = as_square(M, "M", allow_empty=True)
-    B = np.asarray(RHS, dtype=float)
-    n = A.shape[0]
-    lead = B.shape[0] if B.ndim else None
-    if lead != n:
-        raise ValueError(f"RHS leading dimension {lead} does not match system order {n}")
-    if n == 0:
-        return B.copy()
-    s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= _rank_cutoff(A.shape, s, tol):
-        raise np.linalg.LinAlgError("matrix is singular at the working tolerance")
-    return np.linalg.solve(A, B)
+    U, s, Q, N = _output_basis(C, tol)
+    if s.size < C.shape[0]:
+        raise ValueError("C must have full row rank")
+    return _normalizing_transform(U, s, Q, N)

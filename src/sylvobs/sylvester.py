@@ -6,7 +6,8 @@ equation
 with F Hurwitz stable and T of full row rank n - p.  A solution exists
 iff the pair (A, C) is detectable.  ``solve_constrained_sylvester``
 computes each fact once, on one orthogonal split (cf. Van Dooren 1984,
-"Reduced order observers: a new algorithm and proof"):
+"Reduced order observers: a new algorithm and proof"); steps 1 and 2 are
+the observability split every verdict of the package uses (``analysis``):
 
 1. one SVD ``C = U diag(s) Q`` is the rank check and gives an
    orthonormal basis N of the null space of C and ``L = [pinv(C), N]``,
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _staircase, _undetectable, _unstable_hidden_modes
+from .analysis import _obs_split, _undetectable, _unstable_hidden_modes
 from .gains import _staircase_gain
 from .linalg import (
     DEFAULTS,
-    _output_basis,
+    _normalizing_transform,
     as_matrix,
     as_square,
     output_normalizing_transform,
@@ -118,23 +119,20 @@ def partition_by_output(A, C, tol=0.0):
 
 
 def _split(A, C, tol, stability_tol):
-    """The basis along C and the staircase of the reduced pair.
+    """The observability split of ``analysis``, C's full row rank and L.
 
     Returns ``((U, s, Q, L, A22, A12, dec), [])`` for a detectable pair,
     with ``A22 = N.T A N``, ``A12 = Q A N`` and ``dec`` their staircase,
     and ``(None, offending)`` otherwise, so that the caller raises holding
     none of these arrays.
     """
-    U, s, Q, L = _output_basis(C, tol)
-    N = L[:, C.shape[0]:]
-    AN = A @ N
-    A22 = N.T @ AN
-    A12 = Q @ AN
-    dec = _staircase(A22, A12, tol, scale=A)
+    U, s, Q, N, A22, A12, dec = _obs_split(A, C, tol)
+    if s.size < C.shape[0]:
+        raise ValueError("C must have full row rank")
     offending = _unstable_hidden_modes(dec, stability_tol)
     if offending:
         return None, offending
-    return (U, s, Q, L, A22, A12, dec), offending
+    return (U, s, Q, _normalizing_transform(U, s, Q, N), A22, A12, dec), offending
 
 
 def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None):

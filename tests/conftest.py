@@ -8,7 +8,7 @@ the accept and reject paths have planted, known answers.
 
 import numpy as np
 
-from sylvobs import check_observability, spectral_abscissa
+from sylvobs import obs_decompose, spectral_abscissa
 
 # tolerance used by tests that classify planted hidden structure; the
 # CLI default.  See the library docs: the eps-level default rank rule is
@@ -20,7 +20,7 @@ def random_observable_pair(rng, n, p):
     while True:
         A = rng.standard_normal((n, n))
         C = rng.standard_normal((p, n))
-        if check_observability(A, C):
+        if obs_decompose(A, C).no == n:
             return A, C
 
 

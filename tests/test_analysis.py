@@ -3,11 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sylvobs import (
+    UndetectableError,
+    analysis,
     check_detectability,
-    check_observability,
     eigenvalues,
     obs_decompose,
-    pbh_eig_observable,
+    solve_constrained_sylvester,
+    spectral_abscissa,
+    stabilizing_gain,
 )
 from tests.conftest import (
     STRUCT_TOL,
@@ -17,26 +20,53 @@ from tests.conftest import (
 )
 
 
+def pbh_observable(A, C, lam, tol=STRUCT_TOL):
+    """Test-local PBH oracle: lam is observable iff [C; lam I - A] has rank n."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    stacked = np.vstack([np.asarray(C, dtype=complex), lam * np.eye(n) - A])
+    return np.linalg.matrix_rank(stacked, tol) == n
+
+
+def observable_row(verdict, lam):
+    """The ``observable`` flag of the table row nearest to lam."""
+    row = min(verdict.per_eigenvalue, key=lambda e: abs(e.eigenvalue - lam))
+    assert abs(row.eigenvalue - lam) <= 1e-8 * (1.0 + abs(lam))
+    return row.observable
+
+
 class TestPBH:
+    """Per-eigenvalue observability, read from the ``check_detectability``
+    table and the observable dimension of ``obs_decompose``."""
+
     def test_repeated_unobservable(self):
         # stacked [[1,0],[0,0],[0,0]] has rank 1
-        assert not pbh_eig_observable(np.eye(2), [[1.0, 0.0]], 1.0)
+        A, C = np.eye(2), [[1.0, 0.0]]
+        assert not observable_row(check_detectability(A, C), 1.0)
+        assert len(check_detectability(A, C).per_eigenvalue) == 1
+        assert obs_decompose(A, C).no == 1
 
     def test_chain_observable(self):
         # stacked matrix has rank 2 by row reduction
-        assert pbh_eig_observable([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]], 0.0)
+        A, C = [[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]]
+        assert observable_row(check_detectability(A, C), 0.0)
+        assert obs_decompose(A, C).no == 2
 
     def test_decoupled_mode(self):
         # stacked [[1,0],[-1,0],[0,0]] has rank 1
-        assert not pbh_eig_observable(np.diag([-1.0, -2.0]), [[1.0, 0.0]], -2.0)
+        A, C = np.diag([-1.0, -2.0]), [[1.0, 0.0]]
+        assert not observable_row(check_detectability(A, C), -2.0)
+        assert obs_decompose(A, C).no == 1
 
     def test_complex_eigenvalue(self):
-        A = [[0.0, 1.0], [-1.0, 0.0]]
-        assert pbh_eig_observable(A, [[1.0, 0.0]], 1j)
+        A, C = [[0.0, 1.0], [-1.0, 0.0]], [[1.0, 0.0]]
+        verdict = check_detectability(A, C)
+        assert observable_row(verdict, 1j) and observable_row(verdict, -1j)
+        assert obs_decompose(A, C).no == 2
 
     def test_zero_C_rejected(self):
         with pytest.raises(ValueError):
-            pbh_eig_observable(np.eye(2), np.zeros((1, 2)), 1.0)
+            check_detectability(np.eye(2), np.zeros((1, 2)))
 
 
 class TestDetectability:
@@ -71,7 +101,7 @@ class TestDetectability:
             p = int(rng.integers(1, n + 1))
             A = rng.standard_normal((n, n))
             C = rng.standard_normal((p, n))
-            if check_observability(A, C):
+            if obs_decompose(A, C).no == n:
                 assert check_detectability(A, C).detectable
 
     def test_similarity_invariance(self):
@@ -90,14 +120,17 @@ class TestDetectability:
 
 
 class TestObservability:
+    """Whole-pair observability: ``obs_decompose(A, C).no == n``."""
+
     def test_chain(self):
-        assert check_observability([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]])
+        assert obs_decompose([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]]).no == 2
 
     def test_decoupled(self):
-        assert not check_observability(np.diag([-1.0, -2.0]), [[1.0, 0.0]])
+        assert obs_decompose(np.diag([-1.0, -2.0]), [[1.0, 0.0]]).no == 1
 
     def test_scalar(self):
-        assert check_observability([[0.0]], [[1.0]])
+        assert obs_decompose([[0.0]], [[1.0]]).no == 1
+        assert observable_row(check_detectability([[0.0]], [[1.0]]), 0.0)
 
 
 class TestStaircase:
@@ -144,8 +177,8 @@ class TestStaircase:
             # orthogonal transform
             assert_allclose(dec.Tsim.T @ dec.Tsim, np.eye(n), atol=1e-12)
             # observable block really observable
-            if dec.no:
-                assert check_observability(dec.A11, dec.C1, STRUCT_TOL)
+            for lam in eigenvalues(dec.A11):
+                assert pbh_observable(dec.A11, dec.C1, lam)
             # spectrum splits across the blocks
             assert_multiset_close(
                 np.concatenate([eigenvalues(dec.A11), eigenvalues(dec.A22)]),
@@ -165,6 +198,58 @@ class TestStaircase:
             failing = [
                 lam
                 for lam in eigenvalues(A)
-                if not pbh_eig_observable(A, C, lam, STRUCT_TOL)
+                if not pbh_observable(A, C, lam)
             ]
             assert_multiset_close(eigenvalues(dec.A22), failing, tol=1e-6)
+
+
+class TestOneVerdict:
+    """Every entry point reads observability off the same split."""
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8, 1e10])
+    def test_output_scale_invariance(self, c):
+        # observable triple integrator: no verdict may depend on C's scale
+        A = np.diag([1.0, 1.0], 1)
+        C = np.array([[c, 0.0, 0.0]])
+        assert obs_decompose(A, C).no == 3
+        K = stabilizing_gain(A, C)
+        assert spectral_abscissa(A + K @ C) < 0.0
+        assert check_detectability(A, C).detectable
+        sol = solve_constrained_sylvester(A, C)
+        assert sol.report.F_spectral_abscissa < 0.0
+
+    @pytest.mark.parametrize("tol", [0.0, STRUCT_TOL])
+    def test_check_and_solve_agree(self, tol):
+        # planted undetectable pairs on which PBH once disagreed with the
+        # solve at tol 0 (draws 64, 273 and 290 among them)
+        for i in range(300):
+            A, C, _ = random_undetectable_pair(np.random.default_rng((9, i)), 8, 1 + i % 2)
+            verdict = check_detectability(A, C, tol)
+            assert not verdict.detectable, i
+            with pytest.raises(UndetectableError) as excinfo:
+                solve_constrained_sylvester(A, C, tol=tol)
+            assert_multiset_close(verdict.offending, excinfo.value.offending, 1e-6)
+            for lam in verdict.offending:
+                assert not observable_row(verdict, lam), (i, lam)
+
+    @pytest.mark.parametrize("n, p", [(8, 2), (9, 10)])
+    def test_check_computes_split_once(self, monkeypatch, n, p):
+        # one SVD of C, one staircase, and no complex SVD
+        rng = np.random.default_rng(14)
+        A, C = rng.standard_normal((n, n)), rng.standard_normal((p, n))
+        calls = {"svd_of_C": 0, "staircase": 0, "complex_svd": 0}
+        svd, staircase = np.linalg.svd, analysis._staircase
+
+        def counted_svd(M, *args, **kwargs):
+            calls["svd_of_C"] += np.shape(M) == C.shape
+            calls["complex_svd"] += np.iscomplexobj(M)
+            return svd(M, *args, **kwargs)
+
+        def counted_staircase(*args):
+            calls["staircase"] += 1
+            return staircase(*args)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(analysis, "_staircase", counted_staircase)
+        check_detectability(A, C)
+        assert calls == {"svd_of_C": 1, "staircase": 1, "complex_svd": 0}

@@ -6,7 +6,6 @@ from sylvobs import (
     eigenvalues,
     output_normalizing_transform,
     rank_tol,
-    solve_linear,
     spectral_abscissa,
 )
 from sylvobs.linalg import as_matrix
@@ -160,34 +159,3 @@ class TestOutputNormalizingTransform:
             assert_allclose(N.T @ N, np.eye(n - p), atol=1e-12)
             assert np.linalg.norm(C @ N) <= 1e-12 * (1.0 + np.linalg.norm(C))
 
-
-class TestSolveLinear:
-    def test_identity(self):
-        rhs = np.arange(6.0).reshape(3, 2)
-        assert_allclose(solve_linear(np.eye(3), rhs), rhs)
-
-    def test_diagonal(self):
-        X = solve_linear(np.diag([2.0, 4.0]), [[2.0], [4.0]])
-        assert_allclose(X, [[1.0], [1.0]])
-
-    def test_stacked_worked_matrix(self):
-        # inverse of [[1,0],[-1,1]] is [[1,0],[1,1]]; checked by product
-        X = solve_linear([[1.0, 0.0], [-1.0, 1.0]], np.eye(2))
-        assert_allclose(X, [[1.0, 0.0], [1.0, 1.0]])
-
-    def test_singular_rejected(self):
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_linear([[1.0, 2.0], [2.0, 4.0]], np.eye(2))
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(4)
-        for _ in range(30):
-            n = int(rng.integers(1, 8))
-            M = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-            rhs = rng.standard_normal((n, int(rng.integers(1, 4))))
-            X = solve_linear(M, rhs)
-            assert np.linalg.norm(M @ X - rhs) <= 1e-9 * (1.0 + np.linalg.norm(rhs))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_linear(np.eye(2), np.ones((3, 1)))
