@@ -16,7 +16,10 @@ is the absolute rank cutoff of both steps; at 0 the SVD of C uses
 
 with (A11, C1) observable and the eigenvalues of A22 exactly the
 unobservable modes.  A pair is detectable iff every eigenvalue of A22 is
-stable; ``check_detectability`` reads its verdict off that block.
+stable; ``check_detectability`` reads its verdict off that block.  The
+split keeps the staircase's stage ranks (``ObsDecomposition.stages``, the
+rank of C first): they give the observability indices, and ``gains``
+places poles on their stages.
 """
 
 from dataclasses import dataclass, field
@@ -65,19 +68,26 @@ class EigAnalysis:
 
 @dataclass(frozen=True)
 class DetectabilityVerdict:
-    """Outcome of a detectability check, with the per-eigenvalue detail."""
+    """Outcome of a detectability check, with the per-eigenvalue detail and
+    the observability indices of the observable part
+    (``ObsDecomposition.observability_indices``)."""
 
     detectable: bool
     per_eigenvalue: list[EigAnalysis] = field(default_factory=list)
     offending: list[complex] = field(default_factory=list)
+    observability_indices: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class ObsDecomposition:
     """Orthogonal staircase split into observable/unobservable blocks.
 
-    ``no`` is the dimension of the observable subsystem (A11, C1);
-    A21/A22 are empty when the pair is observable.
+    ``stages`` are the staircase's stage ranks ``r_1 >= r_2 >= ...``:
+    ``(A11.T, C1.T)`` is block upper Hessenberg with diagonal blocks of
+    these sizes, ``C1.T`` is zero below its first ``r_1`` rows, and C1.T's
+    top block and every subdiagonal block have full row rank.  ``no``, their
+    sum, is the dimension of the observable subsystem (A11, C1); A21/A22
+    are empty when the pair is observable.
     """
 
     Tsim: np.ndarray
@@ -85,7 +95,18 @@ class ObsDecomposition:
     A21: np.ndarray
     A22: np.ndarray
     C1: np.ndarray
-    no: int
+    stages: tuple[int, ...]
+
+    @property
+    def no(self):
+        return sum(self.stages)
+
+    @property
+    def observability_indices(self):
+        """Observability indices of (A11, C1), largest first: the conjugate
+        partition of ``stages`` (index j counts the stages of rank >= j)."""
+        top = max(self.stages, default=0)
+        return tuple(sum(r >= j for r in self.stages) for j in range(1, top + 1))
 
 
 def _validated_pair(A, C):
@@ -132,7 +153,10 @@ def check_detectability(A, C, tol=0.0, stability_tol=None):
     ]
     offending = _unstable_hidden_modes(dec, band)
     return DetectabilityVerdict(
-        detectable=not offending, per_eigenvalue=per, offending=offending
+        detectable=not offending,
+        per_eigenvalue=per,
+        offending=offending,
+        observability_indices=dec.observability_indices,
     )
 
 
@@ -152,20 +176,21 @@ def _row_compress(B, cutoff):
 
 def _stair_recurse(A, B, cutoff):
     """Orthogonal U with U.T A U = [[Ac, X], [0, Auc]], U.T B = [B1; 0], and
-    the controllable-subspace dimension; every stage uses one ``cutoff``."""
+    the stage ranks of Ac, whose sum is the controllable-subspace dimension;
+    every stage uses one ``cutoff``."""
     n = A.shape[0]
     if n == 0:
-        return np.zeros((0, 0)), 0
+        return np.zeros((0, 0)), ()
     U1, r = _row_compress(B, cutoff)
     if r == 0:
-        return np.eye(n), 0
+        return np.eye(n), ()
     if r == n:
-        return U1, n
+        return U1, (n,)
     A1 = U1.T @ A @ U1
-    U2, nc2 = _stair_recurse(A1[r:, r:], A1[r:, :r], cutoff)
+    U2, stages = _stair_recurse(A1[r:, r:], A1[r:, :r], cutoff)
     U = U1.copy()
     U[:, r:] = U1[:, r:] @ U2
-    return U, r + nc2
+    return U, (r, *stages)
 
 
 def obs_decompose(A, C, tol=0.0):
@@ -212,7 +237,8 @@ def _decompose(A, C, tol):
     The measured coordinates ``Q x`` are observable, and A22 is the split's
     own hidden block, so every verdict reads the same one."""
     _, s, Q, N, _, _, dec = _obs_split(A, C, tol)
-    no = s.size + dec.no
+    stages = (s.size, *dec.stages) if s.size else ()
+    no = sum(stages)
     Tsim = np.hstack([_canonical_signs(Q.T), N @ dec.Tsim])
     At = Tsim.T @ A @ Tsim
     return ObsDecomposition(
@@ -221,7 +247,7 @@ def _decompose(A, C, tol):
         A21=At[no:, :no],
         A22=dec.A22,
         C1=C @ Tsim[:, :no],
-        no=no,
+        stages=stages,
     )
 
 
@@ -232,7 +258,8 @@ def _staircase(A, C, cutoff):
     size (which upstream similarity transforms can push well above eps) as
     zero, or garbage blocks masquerade as observable directions.
     """
-    Tsim, no = _stair_recurse(A.T, C.T, cutoff)
+    Tsim, stages = _stair_recurse(A.T, C.T, cutoff)
+    no = sum(stages)
     At = Tsim.T @ A @ Tsim
     Ct = C @ Tsim
     return ObsDecomposition(
@@ -241,5 +268,5 @@ def _staircase(A, C, cutoff):
         A21=At[no:, :no],
         A22=At[no:, no:],
         C1=Ct[:, :no],
-        no=no,
+        stages=stages,
     )

@@ -73,6 +73,7 @@ def _print_verdict(verdict, as_json):
                 for e in verdict.per_eigenvalue
             ],
             "offending": [[v.real, v.imag] for v in verdict.offending],
+            "observability_indices": list(verdict.observability_indices),
         }
         print(json.dumps(doc, indent=2))
         return

@@ -15,7 +15,8 @@ the observability split every verdict of the package uses (``analysis``):
 2. one observability staircase of the reduced pair ``(N.T A N, Q A N)``,
    at the cutoff ``tol`` or ``sqrt(eps) * ||A||``: its unobservable block
    gives the detectability verdict, raised before anything else is kept,
-   and the poles are placed on its observable block, giving Kq with
+   and the poles are placed on its observable block, stage by stage on
+   the staircase's own stages (``gains``), giving Kq with
    ``F = N.T A N + Kq Q A N`` Hurwitz stable;
 3. assemble ``T = Kq Q + N.T`` and G; with ``K = Kq diag(1/s) U.T``,
    ``[C; T] = [[I, 0], [K, I]] @ inv(L)``;

@@ -157,6 +157,36 @@ class TestStaircase:
         with pytest.raises(ValueError):
             obs_decompose(np.eye(2), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize(
+        "A, C, stages, indices",
+        [
+            # triple integrator, position measured: one chain of length 3
+            (np.diag([1.0, 1.0], 1), [[1.0, 0.0, 0.0]], (1, 1, 1), (3,)),
+            # a chain of 3 and a single state, the head of each measured
+            (
+                np.diag([1.0, 1.0, 0.0], 1),
+                [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],
+                (2, 1, 1),
+                (3, 1),
+            ),
+        ],
+    )
+    def test_stage_ranks_and_observability_indices(self, A, C, stages, indices):
+        dec = obs_decompose(A, C)
+        assert dec.stages == stages
+        assert dec.observability_indices == indices
+        assert check_detectability(A, C).observability_indices == indices
+        # (A11.T, C1.T) is block upper Hessenberg on the stages, fed only
+        # through its first stage
+        At, Bt = dec.A11.T, dec.C1.T
+        starts = np.cumsum((0, *stages))
+        assert np.linalg.matrix_rank(Bt[: stages[0]]) == stages[0]
+        assert_allclose(Bt[stages[0]:], 0.0, atol=1e-14)
+        for i in range(1, len(stages)):
+            below = At[starts[i]:, starts[i - 1]:starts[i]]
+            assert np.linalg.matrix_rank(below[: stages[i]]) == stages[i]
+            assert_allclose(below[stages[i]:], 0.0, atol=1e-14)
+
     def test_random_invariants(self):
         rng = np.random.default_rng(12)
         for _ in range(40):

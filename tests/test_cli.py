@@ -91,6 +91,15 @@ class TestCheck:
         assert code == 0
         assert doc["detectable"] is True
         assert len(doc["eigenvalues"]) == 1  # one distinct eigenvalue (0)
+        assert doc["observability_indices"] == [2]  # one chain of length 2
+
+    def test_json_observability_indices(self, tmp_path, capsys):
+        # a chain of 3 and a single state, the head of each measured
+        A = np.diag([1.0, 1.0, 0.0], 1)
+        C = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        code = main(["check", write_system(tmp_path, A=A, B=np.ones((4, 1)), C=C), "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["observability_indices"] == [3, 1]
 
 
 class TestSolve:

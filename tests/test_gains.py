@@ -7,6 +7,8 @@ from sylvobs import (
     check_detectability,
     default_stable_poles,
     eigenvalues,
+    gains,
+    obs_decompose,
     place_poles,
     spectral_abscissa,
     stabilizing_gain,
@@ -121,6 +123,80 @@ class TestPlacePoles:
                  -0.5 + 3j, -0.5 - 3j, -3 + 2j, -3 - 2j]
         K = place_poles(A, C, poles)
         assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
+
+
+def ackermann_gain(A, C, poles):
+    """Single-output injection gain by Ackermann's formula,
+    ``K = -phi(A) inv(O) e_n`` with O the observability matrix."""
+    n = A.shape[0]
+    O = np.vstack([C @ np.linalg.matrix_power(A, j) for j in range(n)])
+    phi = np.real(np.poly(np.asarray(poles, dtype=complex)))
+    phi_A = sum(c * np.linalg.matrix_power(A, n - j) for j, c in enumerate(phi))
+    return -phi_A @ np.linalg.solve(O, np.eye(n)[:, -1:])
+
+
+class TestStageSplit:
+    """Poles are placed stage by stage on the staircase; from a stage that
+    cannot take a conjugate-closed share, the pair is placed whole."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        # orders of the blocks the per-pole routine is handed, deflations included
+        orders = []
+        place = gains._place_feedback
+
+        def recorded(A, B, items):
+            orders.append(A.shape[0])
+            return place(A, B, items)
+
+        monkeypatch.setattr(gains, "_place_feedback", recorded)
+        return orders
+
+    def test_repeated_complex_pairs_spread_over_stages(self, monkeypatch):
+        A, C = random_observable_pair(np.random.default_rng(70), 6, 2)
+        assert obs_decompose(A, C).stages == (2, 2, 2)
+        poles = [-1 + 1j, -1 - 1j] * 3
+        orders = self.record_blocks(monkeypatch)
+        K = place_poles(A, C, poles)
+        # each stage takes one pair on its own 2 x 2 block
+        assert sorted(orders) == [0, 2, 2, 2]
+        assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
+
+    def test_odd_stage_without_real_pole_goes_whole(self, monkeypatch):
+        A, C = random_observable_pair(np.random.default_rng(71), 6, 3)
+        assert obs_decompose(A, C).stages == (3, 3)
+        poles = [-1 + 1j, -1 - 1j, -2 + 0.5j, -2 - 0.5j, -0.5 + 2j, -0.5 - 2j]
+        orders = self.record_blocks(monkeypatch)
+        K = place_poles(A, C, poles)
+        # the first stage has three slots and only pairs to fill them
+        assert orders[0] == 6
+        assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "items, r, share, rest",
+        [
+            # a pair that overflows is passed over for the next real
+            ([-1, -2 + 1j, -3], 2, [-1, -3], [-2 + 1j]),
+            # only pairs left for the last slot: the last real makes way
+            ([-1, -2, -3 + 1j, -4 + 1j], 3, [-1, -3 + 1j], [-2, -4 + 1j]),
+            ([-1 + 1j, -2 + 1j], 3, None, [-1 + 1j, -2 + 1j]),
+        ],
+    )
+    def test_share_rule(self, items, r, share, rest):
+        items = [complex(v) for v in items]
+        assert gains._take_share(items, r) == (share, rest)
+
+    def test_single_output_gain_is_ackermanns(self):
+        # with one output the gain is unique, so the stage recursion must
+        # reproduce it
+        rng = np.random.default_rng(64)
+        for n in range(1, 7):
+            for _ in range(20):
+                A, C = random_observable_pair(rng, n, 1)
+                poles = random_stable_poles(rng, n)
+                K = place_poles(A, C, poles)
+                expected = ackermann_gain(A, C, poles)
+                assert np.linalg.norm(K - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 class TestStabilizingGain:

@@ -138,7 +138,8 @@ class TestSynthesis:
     @pytest.mark.parametrize("n, p, n_hidden", [(7, 2, 0), (9, 4, 2)])
     def test_each_fact_computed_once(self, monkeypatch, n, p, n_hidden):
         # one SVD of C (besides Plant's rank check), one staircase, and W in
-        # closed form rather than from a linear solve
+        # closed form rather than from a linear solve with [C; T] (the pole
+        # placement solves only systems of a stage's size, below n)
         A, C, _ = random_detectable_pair(np.random.default_rng(42), n, p, n_hidden=n_hidden)
         plant = Plant(A, np.ones((n, 1)), C)
         calls = {"svd_of_C": 0, "staircase": 0, "solve": 0}
@@ -152,8 +153,11 @@ class TestSynthesis:
         def is_C(M, *args):
             return np.shape(M) == C.shape
 
+        def is_stacked(M, *args):
+            return np.shape(M) == (n, n)
+
         monkeypatch.setattr(np.linalg, "svd", counted(np.linalg.svd, "svd_of_C", is_C))
-        monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve"))
+        monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve", is_stacked))
         # the observability split in analysis is the only caller of _staircase
         monkeypatch.setattr(analysis, "_staircase", counted(analysis._staircase, "staircase"))
         obs = synthesize_observer(plant)

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sylvobs import (
+    DEFAULTS,
     UndetectableError,
     check_detectability,
     default_stable_poles,
@@ -130,6 +131,19 @@ class TestScale:
         assert sol.report.F_spectral_abscissa < 0.0
         assert sol.report.T_rank == np.shape(A)[0] - 1
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=np.linalg.LinAlgError,
+        reason="the [C; T] gate min_stacked_sv is an absolute 1e-10, and "
+        "sigma_min([C; T]) <= ||C||: no construction passes it for a small C",
+    )
+    def test_small_output_scale(self):
+        # an exact solution exists (the same T and F as at C = [[1, 0, 0]])
+        A = np.diag([1.0, 1.0], 1)
+        C = np.array([[1e-12, 0.0, 0.0]])
+        sol = solve_constrained_sylvester(A, C)
+        assert sol.report.F_spectral_abscissa < 0.0
+
     def test_one_cutoff_decides_verdict_and_placement(self):
         # the coupling 1e-4 is round-off at the scale of A: the verdict calls
         # -3 hidden and stable, so placement must leave it where it is
@@ -140,6 +154,20 @@ class TestScale:
         assert np.array_equal(sol.K, [[0.0]])
         assert np.array_equal(sol.F, [[-3.0]])
         assert sol.report.stacked_min_singular_value == pytest.approx(1.0)
+
+
+class TestOrder64:
+    @pytest.mark.parametrize("p, n_hidden", [(16, 0), (8, 4)])
+    def test_residual_well_inside_gate(self, p, n_hidden):
+        # the gate is 1e-8 (1 + ||A||); a tenth of it leaves room for the
+        # rounding of larger gains
+        rng = np.random.default_rng((64, p, n_hidden))
+        for _ in range(40):
+            A, C, _ = random_detectable_pair(rng, 64, p, n_hidden=n_hidden)
+            sol = solve_constrained_sylvester(A, C)
+            gate = DEFAULTS.residual_rtol * (1.0 + np.linalg.norm(A))
+            assert sol.report.residual_norm <= 0.1 * gate
+            assert sol.report.F_spectral_abscissa < 0.0
 
 
 class TestVerifyReport:
