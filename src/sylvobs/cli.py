@@ -14,14 +14,7 @@ import numpy as np
 from .analysis import UndetectableError, check_detectability
 from .matrixio import load_matrices, save_matrices
 from .observer import Plant, ReducedObserver, synthesize_observer
-from .simulate import (
-    ConstantInput,
-    SimulationConfig,
-    SinusoidInput,
-    error_metrics,
-    simulate,
-    write_trace_csv,
-)
+from .simulate import ConstantInput, SimulationConfig, SinusoidInput, _summarize
 from .sylvester import solve_constrained_sylvester
 
 EXIT_OK = 0
@@ -178,13 +171,16 @@ def cmd_simulate(args):
     cfg = SimulationConfig(
         t_final=args.t_final, dt=args.dt, input_signal=_input_from_args(args, plant.m)
     )
-    trace = simulate(plant, obs, x0, z0, cfg)
-    metrics = error_metrics(trace)
-    if args.csv:
-        write_trace_csv(trace, args.csv)
-        metrics_doc = dict(metrics, csv=args.csv)
-    else:
-        metrics_doc = dict(metrics)
+    # the trace is written and summarised block by block, never held whole;
+    # an overflowing trace is reported once, by its first non-finite sample,
+    # instead of by numpy's floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        metrics, nonfinite = _summarize(plant, obs, x0, z0, cfg, args.csv)
+    if nonfinite is not None:
+        step, t = nonfinite
+        print(f"warning: the trace overflows: first non-finite sample at step {step} "
+              f"(t = {t:g})", file=sys.stderr)
+    metrics_doc = dict(metrics, csv=args.csv) if args.csv else dict(metrics)
     if args.json:
         # JSON has no NaN/inf: a diverged trace's metrics print as null
         doc = {k: None if isinstance(v, float) and not np.isfinite(v) else v

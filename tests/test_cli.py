@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -8,8 +9,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sylvobs import load_matrices, save_matrices, verify_solution
+from sylvobs import (
+    Plant,
+    ReducedObserver,
+    SimulationConfig,
+    SinusoidInput,
+    error_metrics,
+    load_matrices,
+    save_matrices,
+    simulate,
+    synthesize_observer,
+    verify_solution,
+    write_trace_csv,
+)
 from sylvobs.cli import main
+from sylvobs.simulate import _BLOCK
 from tests.conftest import random_detectable_pair
 
 WORKED = {
@@ -226,6 +240,33 @@ class TestSimulate:
         # x columns must differ (the input does act on the plant)
         assert np.max(np.abs(data0[:, 1] - data1[:, 1])) > 1e-3
 
+    @pytest.mark.parametrize("steps", [_BLOCK, 2 * _BLOCK + 3])
+    def test_streamed_csv_and_metrics_are_the_library_trace(self, tmp_path, capsys, steps):
+        # the command writes and summarises the trace block by block, never
+        # whole; its CSV and metrics are those of the library's trace exactly
+        sys_path = write_system(
+            tmp_path, extra={"x0": np.array([[0.5], [-1.0]]), "z0": np.ones((1, 1))}
+        )
+        obs_path = str(tmp_path / "obs.json")
+        assert main(["observe", sys_path, "--poles", "-1", "--out", obs_path]) == 0
+        capsys.readouterr()
+        csv_path = tmp_path / "trace.csv"
+        t_final = steps * 1e-3
+        code = main(["simulate", sys_path, "--observer", obs_path, "--input", "sinusoid",
+                     "--t-final", repr(t_final), "--dt", "1e-3", "--csv", str(csv_path), "--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+
+        M = load_matrices(obs_path)
+        obs = ReducedObserver(F=M["F"], G=M["G"], P=M["P"], T=M["T"], W=M["W"])
+        cfg = SimulationConfig(t_final=t_final, dt=1e-3, input_signal=SinusoidInput([1.0]))
+        trace = simulate(Plant(**WORKED), obs, [0.5, -1.0], [1.0], cfg)
+        assert trace.times.size == steps + 1
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        assert csv_path.read_bytes() == buf.getvalue().encode("utf-8")
+        assert json.loads(out) == dict(error_metrics(trace), csv=str(csv_path))
+
     def test_dimension_mismatch_between_files(self, tmp_path):
         sys_path = write_system(tmp_path)
         obs_path = str(tmp_path / "obs.json")
@@ -312,6 +353,25 @@ class TestDiagnosticExit:
             "decay_ratio": None,
             "estimate_final_error": None,
         }
+
+    def test_first_nonfinite_sample_reported(self, tmp_path, capsys):
+        # the 800 /s plant above: stderr names the first sample where the
+        # library's trace of the same run stops being finite
+        A = np.array([[800.0, 1.0], [0.0, -1.0]])
+        B = np.array([[0.0], [1.0]])
+        path = write_system(tmp_path, A=A, B=B)
+        code = main(["simulate", path, "--t-final", "1", "--x0=1,0", "--z0=1", "--json"])
+        err = capsys.readouterr().err
+
+        plant = Plant(A, B, WORKED["C"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = simulate(plant, synthesize_observer(plant, tol=1e-9), [1.0, 0.0], [1.0],
+                             SimulationConfig(t_final=1.0, dt=1e-3))
+        finite = np.isfinite(trace.x).all(axis=1) & np.isfinite(trace.z).all(axis=1)
+        step = int(np.flatnonzero(~finite)[0])
+        assert 0 < step < trace.times.size - 1
+        assert code == 3
+        assert f"first non-finite sample at step {step} (t = {trace.times[step]:g})" in err
 
     def test_observer_file_missing_key(self, tmp_path, capsys):
         sys_path = write_system(tmp_path)

@@ -47,6 +47,37 @@ BITWISE_SETUPS = {"worked-n2": worked_setup, "seeded-n32-p4": lambda: random_sta
 BITWISE_CFG = dict(t_final=(_BLOCK + 100) * 1e-3, dt=1e-3)
 
 
+def unstable_setup():
+    """The seeded n = 8, p = 2 plant shifted by +I, and its observer.
+
+    ``stable_matrix`` puts the spectral abscissa at -0.5, so the shifted
+    plant's is +0.5.
+    """
+    plant, _ = random_stable_setup(72, 8, 2, m=2)
+    plant = Plant(plant.A + np.eye(plant.n), plant.B, plant.C)
+    return plant, synthesize_observer(plant)
+
+
+# (setup, steps, input) against textbook RK4: the seeded n = 8 plant with each
+# input over partial and whole blocks and groups, then the n = 32 plant
+# (N = 60) and the unstable plant over three blocks
+TEXTBOOK_SIGNALS = {
+    "zero": None,
+    "constant": ConstantInput([0.7, -0.2]),
+    "sinusoid": SinusoidInput([1.0, 0.5], 3.0, 0.4),
+}
+TEXTBOOK_CASES = [
+    pytest.param(lambda: random_stable_setup(72, 8, 2, m=2), steps, signal, id=f"{name}-{steps}")
+    for steps in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
+    for name, signal in TEXTBOOK_SIGNALS.items()
+] + [
+    pytest.param(BITWISE_SETUPS["seeded-n32-p4"], 2 * _BLOCK + 3, SinusoidInput([1.0], 3.0, 0.4),
+                 id=f"seeded-n32-p4-sinusoid-{2 * _BLOCK + 3}"),
+    pytest.param(unstable_setup, 2 * _BLOCK + 3, TEXTBOOK_SIGNALS["sinusoid"],
+                 id=f"unstable-n8-p2-sinusoid-{2 * _BLOCK + 3}"),
+]
+
+
 def textbook_rk4(plant, obs, x0, z0, cfg):
     """Classical four-stage RK4 on the coupled [x; z] system, one step at a time."""
     n = plant.n
@@ -146,16 +177,11 @@ class TestSimulate:
         for i in range(trace.times.size):
             assert np.array_equal(trace.e[i], trace.z[i] - obs.T @ trace.x[i])
 
-    @pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3])
-    @pytest.mark.parametrize(
-        "signal",
-        [None, ConstantInput([0.7, -0.2]), SinusoidInput([1.0, 0.5], 3.0, 0.4)],
-        ids=["zero", "constant", "sinusoid"],
-    )
-    def test_matches_textbook_rk4(self, steps, signal):
-        plant, obs = random_stable_setup(72, 8, 2, m=2)
+    @pytest.mark.parametrize(("setup", "steps", "signal"), TEXTBOOK_CASES)
+    def test_matches_textbook_rk4(self, setup, steps, signal):
+        plant, obs = setup()
         rng = np.random.default_rng(73)
-        x0, z0 = rng.standard_normal(8), rng.standard_normal(obs.order)
+        x0, z0 = rng.standard_normal(plant.n), rng.standard_normal(obs.order)
         cfg = SimulationConfig(t_final=steps * 1e-3, dt=1e-3, input_signal=signal)
         trace = simulate(plant, obs, x0, z0, cfg)
         x_ref, z_ref = textbook_rk4(plant, obs, x0, z0, cfg)
@@ -255,6 +281,28 @@ class TestSimulate:
         bad_input = SimulationConfig(input_signal=ConstantInput([1.0, 2.0]))
         with pytest.raises(ValueError):
             simulate(plant, obs, [0.0, 0.0], [1.0], bad_input)
+
+    @pytest.mark.parametrize(("n", "p"), [(2, 1), (8, 2), (32, 4)])
+    def test_error_matches_expm_oracle(self, n, p):
+        # e(t) = expm(F t) e(0) at 16 evenly spaced samples; the solve's
+        # residual R = T A - F T - G C forces de/dt = F e - R x, which adds
+        # max ||expm(F t)|| ||R|| int ||x|| dt to the integrator tolerance
+        expm = pytest.importorskip("scipy.linalg").expm
+        plant, obs = random_stable_setup(76 + n, n, p)
+        rng = np.random.default_rng(77)
+        x0, z0 = rng.standard_normal(n), rng.standard_normal(obs.order)
+        cfg = SimulationConfig(t_final=5.0, dt=1e-3, input_signal=SinusoidInput([1.0], 2.0))
+        trace = simulate(plant, obs, x0, z0, cfg)
+        e0 = z0 - obs.T @ x0
+        picks = np.linspace(0, trace.times.size - 1, 16).round().astype(int)
+        flows = [expm(obs.F * trace.times[k]) for k in picks]
+        growth = max([1.0] + [np.linalg.norm(E, 2) for E in flows])
+        residual = np.linalg.norm(obs.T @ plant.A - obs.F @ obs.T - obs.G @ plant.C, 2)
+        xn = np.linalg.norm(trace.x, axis=1)
+        x_integral = np.concatenate([[0.0], np.cumsum(0.5 * (xn[1:] + xn[:-1]) * cfg.dt)])
+        for k, E in zip(picks, flows):
+            allowed = 1e-6 * (1.0 + np.linalg.norm(e0)) + growth * residual * x_integral[k]
+            assert np.linalg.norm(trace.e[k] - E @ e0) <= allowed
 
     def test_matrix_exponential_oracle(self):
         # free plant response x(t) = expm(A t) x0 via eigendecomposition,
