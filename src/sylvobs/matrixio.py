@@ -30,10 +30,13 @@ def _entry_to_matrix(key, entry):
         raise ValueError(
             f"matrix '{key}': data must list exactly rows*cols = {rows * cols} numbers"
         )
+    # bool is a subclass of int, and numpy would also read numeric strings
+    if not set(map(type, data)) <= {int, float}:
+        raise ValueError(f"matrix '{key}': data must be numbers")
     try:
         arr = np.array(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError):
-        raise ValueError(f"matrix '{key}': data must be numbers") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"matrix '{key}': entries must be finite") from None
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"matrix '{key}': entries must be finite")
     return arr

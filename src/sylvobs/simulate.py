@@ -25,12 +25,27 @@ it with a ``ValueError`` instead.
 
 The recorded error e = z - T x is recomputed from the stored states at
 every sample and, for a valid observer, follows e(t) = expm(F t) e(0) up
-to integrator truncation.  The CSV writer formats ``_CSV_ROWS`` rows per
-call.  ``sylvobs simulate`` runs through ``_summarize``, which integrates
-into a buffer of ``_BLOCK + 1`` samples and writes and summarises each
-block in turn, so the command never holds the whole trace.
+to integrator truncation.  ``sylvobs simulate`` runs through
+``_summarize``, which integrates into a buffer of ``_BLOCK + 1`` samples and
+writes and summarises each block in turn, so the command never holds the
+whole trace.
+
+The CSV holds every value as ``"{:.17g}".format`` writes it, byte for byte,
+but the text comes from a numpy kernel, ``_format_block``, about
+``_CSV_VALUES`` values at a time.  ``_decimal17`` finds the 17 digits from an
+exact integer product (the mantissa times 5^q, in two 64-bit words) and
+rounds them half to even from the bits shifted out.  The layout of %g (fixed
+or exponent notation, the trailing zeros cut) is built in fixed slots, and
+one selection of the bytes that are not padding joins them.  Zero and
+magnitudes in [2^-36, 2^57) take this path.  Any other value (subnormal,
+smaller, larger, inf or nan) is formatted by ``str.format`` itself, which is
+thus both the exact path for those values and the tests' oracle.  Every
+working array of the kernel lives in a ``_Scratch``, one anonymous memory
+map per writer, so writing a CSV allocates nothing in the process heap but
+each block's text.
 """
 
+import functools
 import math
 import mmap
 from contextlib import nullcontext
@@ -55,8 +70,8 @@ __all__ = [
 # enough to amortise per-block numpy calls, small enough that block buffers
 # stay far below the trace itself
 _BLOCK = 512
-# rows per str.format call of the CSV writer (see _write_csv_rows)
-_CSV_ROWS = 16
+# values per block of the CSV writer (see _Scratch)
+_CSV_VALUES = 4096
 # steps per group of the lifted recurrence inside a block (see the module
 # docstring): sqrt(_BLOCK / 2) minimises the Python iterations per block
 _GROUP = math.isqrt(_BLOCK // 2)
@@ -100,7 +115,8 @@ class SimulationConfig:
 
     ``input_signal`` is any callable t -> length-m vector; ``None``
     means zero input.  The horizon is rounded to a whole number of
-    steps: ``steps = round(t_final / dt) >= 1``.
+    steps: ``steps = round(t_final / dt) >= 1``, which must fit a numpy
+    index.
     """
 
     t_final: float = 10.0
@@ -108,11 +124,16 @@ class SimulationConfig:
     input_signal: object = None
 
     def step_count(self):
+        if not (math.isfinite(self.t_final) and math.isfinite(self.dt)):
+            raise ValueError("t_final and dt must be finite")
         if not (self.t_final > 0.0 and self.dt > 0.0):
             raise ValueError("t_final and dt must be positive")
         if self.dt > self.t_final:
             raise ValueError("dt must not exceed t_final")
-        steps = int(round(self.t_final / self.dt))
+        ratio = self.t_final / self.dt
+        if not ratio < np.iinfo(np.intp).max:
+            raise ValueError(f"t_final / dt = {ratio:g} steps do not fit an index")
+        steps = int(round(ratio))
         if steps < 1:
             raise ValueError("horizon must cover at least one step")
         return steps
@@ -388,9 +409,10 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
     yz = np.empty((_BLOCK + 1, n))
     initial = None
     nonfinite = None
-    with open(csv, "w", encoding="utf-8") if csv else nullcontext() as fh:
+    with open(csv, "wb") if csv else nullcontext() as fh:
         if fh is not None:
-            fh.write(_csv_header(n, q))
+            fh.write(_csv_header(n, q).encode("ascii"))
+            scratch = _Scratch(2 * (n + q) + 2)
         for lo, k in _integrate(states, Abig, Bbig, cfg.dt, u, u_start, steps):
             # the block's new samples, and the initial one with the first block
             first = 1 if lo else 0
@@ -401,7 +423,7 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
                                     z=window.z[rows], e=window.e[rows],
                                     xhat=window.xhat[rows], e_norms=window.e_norms[rows])
             if fh is not None:
-                _write_csv_rows(fh, block)
+                _write_csv_rows(fh.write, _csv_columns(block), scratch)
             if initial is None:
                 initial = float(block.e_norms[0])
             # a non-finite x or z sample makes its e = z - T x sample
@@ -440,17 +462,21 @@ def write_trace_csv(trace, path_or_file):
     """Write the trace as CSV: t, x_*, z_*, e_*, xhat_*, e_norm.
 
     Values are written with 17 significant digits so they round-trip
-    exactly through decimal text.
+    exactly through decimal text.  A path is written as bytes, with LF
+    line ends on every platform; a file object gets the same text as
+    ``str``.
     """
-    def write(fh):
-        fh.write(_csv_header(trace.x.shape[1], trace.z.shape[1]))
-        _write_csv_rows(fh, trace)
-
+    n, q = trace.x.shape[1], trace.z.shape[1]
+    header = _csv_header(n, q)
+    scratch = _Scratch(2 * (n + q) + 2)
     if hasattr(path_or_file, "write"):
-        write(path_or_file)
+        path_or_file.write(header)
+        _write_csv_rows(lambda text: path_or_file.write(text.tobytes().decode("ascii")),
+                        _csv_columns(trace), scratch)
     else:
-        with open(path_or_file, "w", encoding="utf-8") as fh:
-            write(fh)
+        with open(path_or_file, "wb") as fh:
+            fh.write(header.encode("ascii"))
+            _write_csv_rows(fh.write, _csv_columns(trace), scratch)
 
 
 def _csv_header(n, q):
@@ -464,15 +490,8 @@ def _csv_header(n, q):
     ) + "\n"
 
 
-def _write_csv_rows(fh, trace):
-    """Write the samples of ``trace`` as CSV rows, ``_CSV_ROWS`` per format
-    call over a flat list of their values.
-
-    No per-row list or string is made: those are small heap blocks that the
-    allocator keeps cached once freed, and made next to a large buffer they
-    keep its memory from being reused as one block after it is freed.
-    """
-    columns = (
+def _csv_columns(trace):
+    return (
         trace.times[:, None],
         trace.x,
         trace.z,
@@ -480,7 +499,360 @@ def _write_csv_rows(fh, trace):
         trace.xhat,
         trace.e_norms[:, None],
     )
-    row_format = ",".join(["{:.17g}"] * sum(c.shape[1] for c in columns)) + "\n"
-    for lo in range(0, trace.times.size, _CSV_ROWS):
-        rows = np.hstack([c[lo : lo + _CSV_ROWS] for c in columns])
-        fh.write((row_format * len(rows)).format(*rows.ravel().tolist()))
+
+
+def _write_csv_rows(write, columns, scratch):
+    """Pass the CSV rows of ``columns`` (2-D arrays side by side) to
+    ``write``, ``"{:.17g}".format`` of every value byte for byte, as uint8
+    arrays of ASCII text.
+
+    The rows are copied into ``scratch`` and formatted there by
+    ``_format_block``, ``scratch.rows`` at a time.  No per-row list or
+    string is made, and the only heap allocation per block is the text
+    itself.
+    """
+    total, step = len(columns[0]), scratch.rows
+    for lo in range(0, total, step):
+        rows = min(step, total - lo)
+        block = scratch.values[: rows * scratch.width].reshape(rows, scratch.width)
+        np.concatenate([c[lo : lo + rows] for c in columns], axis=1, out=block)
+        write(_format_block(scratch, rows))
+
+
+def _format_g17(values):
+    """CSV text of a 2-D float array, as ``_write_csv_rows`` writes it."""
+    values = np.asarray(values, dtype=np.float64)
+    texts = []
+    _write_csv_rows(texts.append, (values,), _Scratch(values.shape[1]))
+    return b"".join(t.tobytes() for t in texts).decode("ascii")
+
+
+def _packed(texts):
+    """ASCII byte strings of at most 8 bytes as little-endian uint64 words,
+    NUL-padded: byte i of a text is bits 8i .. 8i + 7 of its word."""
+    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8").astype(np.uint64)
+
+
+_U64 = np.uint64
+# binary exponents e2 (2^e2 <= |x| < 2^(e2 + 1)) that _format_block formats
+# itself: those whose scale 10^q = 5^q 2^q has q = 0 .. 27, so that 5^q fits
+# one word (5^27 < 2^64 <= 5^28).  That is |x| in [2^-36, 2^57), about
+# [1.5e-11, 1.4e17)
+_E2_MIN, _E2_MAX = -36, 56
+_POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
+# the 24-byte digit field is three words; in word w, _BELOW[w, P] masks the
+# field's bytes 0 .. P - 1 and _POINT[w, P] is "." at its byte P
+_BELOW = np.array([[sum(0xFF << 8 * (j - 8 * w) for j in range(8 * w, min(P, 8 * w + 8)))
+                    for P in range(25)] for w in range(3)], dtype=np.uint64)
+_POINT = np.array([[0x2E << 8 * (P - 8 * w) if 8 * w <= P < 8 * w + 8 else 0 for P in range(25)]
+                   for w in range(3)], dtype=np.uint64)
+# the exponent ("e-05") at bytes 2 .. 5 of a slot's last word, by decimal
+# exponent k; empty where %g writes k in fixed notation (-4 <= k < 17)
+_K_MIN = -16
+_EXPONENT = _packed([b"\0\0" + b"e%+03d" % k if not -4 <= k < 17 else b""
+                     for k in range(_K_MIN, 25)])
+# sign and the "0.0.." of fixed notation below 1, by 2 * (-k) + sign bit
+_LEAD = _packed([sign + (b"0." + b"0" * (z - 1) if z else b"")
+                 for z in range(5) for sign in (b"", b"-")])
+_COMMA, _NEWLINE = _U64(ord(",") << 48), _U64(ord("\n") << 48)
+_LOW32 = _U64(2**32 - 1)
+
+
+def _anonymous(nbytes):
+    """``nbytes`` zero bytes in an anonymous memory map of their own, as a
+    uint8 array.  The map is returned whole when the array is dropped, and
+    the process heap never sees it."""
+    return np.frombuffer(mmap.mmap(-1, nbytes), np.uint8)
+
+
+@functools.cache
+def _quad_tables():
+    """Four ASCII digits of each of 0 .. 9999 in one word, and the trailing
+    zero digits of each (4 for 0).
+
+    Built on first use, so that a process that writes no CSV does not hold
+    them, and kept in a map of their own: made in the heap, they would stay
+    wherever the heap had room at that moment, for the life of the process.
+    """
+    table = _anonymous(9 * 10000)
+    quad, zeros = table[:80000].view(np.uint64), table[80000:]
+    for j in range(4):
+        quad |= (np.arange(10000, dtype=np.uint64) // _U64(10 ** (3 - j)) % _U64(10)
+                 + _U64(ord("0"))) << _U64(8 * j)
+        zeros += np.arange(10000, dtype=np.uint16) % np.uint16(10 ** (j + 1)) == 0
+    return quad, zeros
+
+
+class _Scratch:
+    """Every working array of ``_format_block`` for blocks of ``rows`` rows
+    of ``width`` values, in one anonymous memory map.
+
+    ``rows`` is ``_CSV_VALUES // width`` (at least one row), so the map
+    holds 224 bytes per value, near 1 MB.  A writer makes one
+    ``_Scratch`` and formats every block in it; the map goes back whole
+    when the writer ends.  Formatting thus adds no array to the process
+    heap but the text it returns: with temporaries of a few tens of KiB
+    per block, the heap's layout after a CSV, and so where later large
+    arrays land and how much memory the process peaks at, would depend
+    on the history of the process.
+    """
+
+    # rows of each kind of working array (uint64, intp, bool)
+    _U, _I, _B = 8, 10, 7
+
+    def __init__(self, width):
+        self.width = width
+        self.rows = max(1, _CSV_VALUES // width)
+        size = self.rows * width
+        buf = _anonymous((8 + 32 + 8 * (self._U + self._I) + self._B + 32 + 1) * size)
+        offset = 0
+
+        def carve(dtype, count):
+            nonlocal offset
+            arr = np.frombuffer(buf, dtype, count, offset)
+            offset += arr.nbytes
+            return arr
+
+        self.values = carve(np.float64, size)
+        self.slots = carve(np.uint64, 4 * size).reshape(size, 4)
+        self.u = carve(np.uint64, self._U * size).reshape(self._U, size)
+        self.i = carve(np.intp, self._I * size).reshape(self._I, size)
+        self.b = carve(np.bool_, self._B * size).reshape(self._B, size)
+        self.text = carve(np.bool_, 32 * size)
+        self.small = carve(np.uint8, size)
+
+
+def _decimal17(s, count):
+    """Exact %.17g digits of the first ``count`` values in ``s.values``
+    whose binary exponents e2 (2^e2 <= |x| < 2^(e2 + 1)) lie in
+    [_E2_MIN, _E2_MAX].
+
+    |x| rounded half to even to 17 significant digits is D 10^(k - 16), with
+    10^16 <= D < 10^17.  For x = m 2^(e2 - 52)
+    (2^52 <= m < 2^53) the guess k0 = floor(e2 log10 2) is k or k - 1.  With
+    q = 16 - k0, the exact product m 5^q (at most 116 bits, in two words)
+    shifted by e2 - 52 + q is |x| 10^q: its integer part has 17 digits when
+    k = k0 and 18 when k = k0 + 1, and the bits shifted out decide the
+    rounding.  Rounding never carries to 10^17: that would take a double
+    within 5e-18 relative below a power of ten, and the range has none.
+
+    Leaves D in ``s.u[5]``, k in ``s.i[1]`` and whether e2 is in the range
+    in ``s.b[5]``, each over ``count`` values, and overwrites ``s.u[:8]``,
+    ``s.i[:4]`` and ``s.b[:5]``.  The other
+    values are taken with e2 clipped into the range; their D and k are of
+    no use.
+    """
+    bits = s.values[:count].view(np.uint64)
+    u0, u1, u2, u3, u4, u5, u6, u7 = (a[:count] for a in s.u[:8])
+    e2, k, q, shift = (a[:count] for a in s.i[:4])
+    b0, b1, b2, b3, b4, in_range = (a[:count] for a in s.b[:6])
+
+    np.right_shift(bits, _U64(52), out=u0)
+    np.bitwise_and(u0, _U64(0x7FF), out=u0)
+    e2[...] = u0
+    np.subtract(e2, 1023, out=e2)
+    np.greater_equal(e2, _E2_MIN, out=in_range)
+    np.less_equal(e2, _E2_MAX, out=b0)
+    np.logical_and(in_range, b0, out=in_range)
+    np.clip(e2, _E2_MIN, _E2_MAX, out=e2)
+    np.multiply(e2, 78913, out=k)
+    np.right_shift(k, 18, out=k)  # floor(e2 log10 2) for |e2| < 1650
+    np.subtract(16, k, out=q)
+    np.subtract(e2, 52, out=shift)
+    np.add(shift, q, out=shift)
+    # the product m 5^q = hi 2^64 + lo, from 32-bit halves: m in u3 (low)
+    # and u4 (high), 5^q in u5 (low) and u2 (high)
+    np.bitwise_and(bits, _U64(2**52 - 1), out=u1)
+    np.bitwise_or(u1, _U64(2**52), out=u1)
+    np.bitwise_and(u1, _LOW32, out=u3)
+    np.right_shift(u1, _U64(32), out=u4)
+    np.take(_POW5, q, out=u2, mode="clip")
+    np.bitwise_and(u2, _LOW32, out=u5)
+    np.right_shift(u2, _U64(32), out=u2)
+    np.multiply(u3, u5, out=u6)  # lo
+    np.multiply(u3, u2, out=u7)  # cross1
+    np.multiply(u4, u5, out=u3)  # cross2
+    np.multiply(u4, u2, out=u5)  # hi
+    np.right_shift(u6, _U64(32), out=u2)  # mid
+    np.bitwise_and(u7, _LOW32, out=u4)
+    np.add(u2, u4, out=u2)
+    np.bitwise_and(u3, _LOW32, out=u4)
+    np.add(u2, u4, out=u2)
+    np.right_shift(u7, _U64(32), out=u7)
+    np.add(u5, u7, out=u5)
+    np.right_shift(u3, _U64(32), out=u3)
+    np.add(u5, u3, out=u5)
+    np.right_shift(u2, _U64(32), out=u4)
+    np.add(u5, u4, out=u5)
+    np.bitwise_and(u6, _LOW32, out=u6)
+    np.left_shift(u2, _U64(32), out=u2)
+    np.bitwise_or(u6, u2, out=u6)
+    # |x| 10^q = (hi 2^64 + lo) 2^shift, with -62 <= shift <= 4 (and hi = 0
+    # when shift > 0): the bits shifted out all lie in lo.  right in u0,
+    # left in u1
+    np.negative(shift, out=q)
+    np.maximum(q, 0, out=q)
+    u0[...] = q
+    np.maximum(shift, 0, out=q)
+    u1[...] = q
+    # digits = (hi << 1 << (63 - right) | lo >> right) << left, in u5
+    np.subtract(_U64(63), u0, out=u2)
+    np.left_shift(u5, _U64(1), out=u5)
+    np.left_shift(u5, u2, out=u5)
+    np.right_shift(u6, u0, out=u3)
+    np.bitwise_or(u5, u3, out=u5)
+    np.left_shift(u5, u1, out=u5)
+    # the bits dropped (u6), and half of their weight (u2)
+    np.left_shift(_U64(1), u0, out=u2)
+    np.subtract(u2, _U64(1), out=u3)
+    np.bitwise_and(u6, u3, out=u6)
+    np.right_shift(u2, _U64(1), out=u2)
+    # with 18 digits (b0) the last one goes too, and it decides the
+    # rounding together with the bits below it
+    np.greater_equal(u5, _U64(10**17), out=b0)
+    np.divmod(u5, _U64(10), out=(u3, u4))  # tenth, last
+    np.greater(u4, _U64(5), out=b1)
+    np.equal(u4, _U64(5), out=b2)
+    np.not_equal(u6, _U64(0), out=b3)
+    np.bitwise_and(u3, _U64(1), out=u7)
+    np.not_equal(u7, _U64(0), out=b4)
+    np.logical_or(b3, b4, out=b3)
+    np.logical_and(b2, b3, out=b2)
+    np.logical_or(b1, b2, out=b1)  # round up, with 18 digits
+    np.greater(u6, u2, out=b2)
+    np.equal(u6, u2, out=b3)
+    np.not_equal(u0, _U64(0), out=b4)
+    np.logical_and(b3, b4, out=b3)
+    np.bitwise_and(u5, _U64(1), out=u7)
+    np.not_equal(u7, _U64(0), out=b4)
+    np.logical_and(b3, b4, out=b3)
+    np.logical_or(b2, b3, out=b2)  # round up, with 17 digits
+    np.copyto(b2, b1, where=b0)
+    np.copyto(u5, u3, where=b0)
+    np.add(u5, b2, out=u5)
+    np.add(k, b0, out=k)
+
+
+def _format_block(s, rows):
+    """CSV text of the first ``rows`` rows of ``s.values``: each value as
+    ``"{:.17g}".format`` gives it, byte for byte, "," between columns and a
+    newline after each row, as a new uint8 array.
+
+    The digits come from ``_decimal17``.  Each value's text is laid out in a
+    slot of four words, with NUL bytes where %g writes nothing: the sign and
+    the "0.00" of fixed notation below 1; the 17 digits with the point after
+    digit k (fixed notation, -4 <= k < 17) or digit 0 (exponent notation),
+    cut after the last nonzero digit of the fraction; the exponent; the
+    separator.  One selection of the bytes that are not NUL joins the
+    slots.
+
+    Zero is formatted here too: a run from x0 = 0 without input writes
+    little else.  The other values outside [2^-36, 2^57): subnormals,
+    smaller and larger magnitudes, inf and nan, are formatted by
+    ``str.format`` itself, and their text (at most 24 bytes) fills the slot.
+    """
+    count = rows * s.width
+    _decimal17(s, count)
+    quad, quad_zeros = _quad_tables()
+    bits = s.values[:count].view(np.uint64)
+    slots = s.slots[:count]
+    u0, u1, u2, u3, u4, u5, u6, _ = (a[:count] for a in s.u)
+    sign, k, g1, g2, g3, g4, nd, idx, point, keep = (a[:count] for a in s.i)
+    b0, b1, b2, b3, _, in_range, zero = (a[:count] for a in s.b)
+    small = s.small[:count]
+
+    np.left_shift(bits, _U64(1), out=u0)
+    np.equal(u0, _U64(0), out=zero)
+    np.copyto(k, 0, where=zero)
+    # the digits D (u5) in groups of 4 + 4 | 4 + 4 | 1, as table indices
+    # g1 .. g4 and the last digit (u2)
+    np.divmod(u5, _U64(10**9), out=(u0, u1))
+    np.divmod(u1, _U64(10), out=(u3, u2))
+    np.divmod(u0, _U64(10**4), out=(u1, u4))
+    g1[...], g2[...] = u1, u4
+    np.divmod(u3, _U64(10**4), out=(u1, u4))
+    g3[...], g4[...] = u1, u4
+    # significant digits: 17 less the trailing zeros
+    np.take(quad_zeros, g1, out=small, mode="clip")
+    np.subtract(4, small, out=nd)
+    for g, length in ((g2, 8), (g3, 12), (g4, 16)):
+        np.not_equal(g, 0, out=b0)
+        np.take(quad_zeros, g, out=small, mode="clip")
+        np.subtract(length, small, out=idx)
+        np.copyto(nd, idx, where=b0)
+    np.not_equal(u2, _U64(0), out=b0)
+    np.copyto(nd, 17, where=b0)
+    np.copyto(nd, 1, where=zero)
+    # the digits in ASCII, most significant at byte 0, in three words
+    # (u0, u3, u4)
+    np.take(quad, g1, out=u0, mode="clip")
+    np.take(quad, g2, out=u1, mode="clip")
+    np.left_shift(u1, _U64(32), out=u1)
+    np.bitwise_or(u0, u1, out=u0)
+    np.take(quad, g3, out=u3, mode="clip")
+    np.take(quad, g4, out=u1, mode="clip")
+    np.left_shift(u1, _U64(32), out=u1)
+    np.bitwise_or(u3, u1, out=u3)
+    np.add(u2, _U64(ord("0")), out=u4)
+    np.copyto(u0, _U64(ord("0")), where=zero)
+
+    # the point goes before byte `point` of the digit field, which keeps its
+    # first `keep` bytes.  In fixed notation (b1) below 1 (b2) the point is
+    # in the lead and `point` = 17 lies past the digits
+    np.greater_equal(k, -4, out=b1)
+    np.less(k, 17, out=b2)
+    np.logical_and(b1, b2, out=b1)
+    np.less(k, 0, out=b2)
+    np.logical_and(b1, b2, out=b2)
+    np.add(k, 1, out=point)
+    np.logical_not(b1, out=b3)
+    np.copyto(point, 1, where=b3)
+    np.copyto(point, 17, where=b2)
+    np.add(nd, 1, out=keep)
+    np.less_equal(nd, point, out=b3)
+    np.copyto(keep, point, where=b3)
+    np.copyto(keep, nd, where=b2)
+    # the lead, by 2 * (-k below 1, else 0) + sign bit
+    np.negative(k, out=idx)
+    np.logical_not(b2, out=b3)
+    np.copyto(idx, 0, where=b3)
+    np.multiply(idx, 2, out=idx)
+    np.right_shift(bits, _U64(63), out=u1)
+    sign[...] = u1
+    np.add(idx, sign, out=idx)
+    np.take(_LEAD, idx, out=u1, mode="clip")
+    slots[:, 0] = u1
+    # bytes from `point` on move up one, the top byte of a word into the
+    # next (u6); u1 masks the bytes below the point, u2 holds those above
+    for w, word in enumerate((u0, u3, u4)):
+        np.take(_BELOW[w], point, out=u1, mode="clip")
+        np.invert(u1, out=u2)
+        np.bitwise_and(word, u2, out=u2)
+        np.bitwise_and(word, u1, out=word)
+        np.left_shift(u2, _U64(8), out=u5)
+        np.bitwise_or(word, u5, out=word)
+        if w:
+            np.bitwise_or(word, u6, out=word)
+        np.take(_POINT[w], point, out=u5, mode="clip")
+        np.bitwise_or(word, u5, out=word)
+        np.take(_BELOW[w], keep, out=u5, mode="clip")
+        np.bitwise_and(word, u5, out=word)
+        slots[:, 1 + w] = word
+        np.right_shift(u2, _U64(56), out=u6)
+    np.subtract(k, _K_MIN, out=idx)
+    np.take(_EXPONENT, idx, out=u1, mode="clip")
+    slots[:, 3] |= u1
+
+    others = np.logical_or(in_range, zero, out=b3)
+    np.logical_not(others, out=others)
+    if others.any():
+        texts = ["{:.17g}".format(v) for v in s.values[:count][others].tolist()]
+        slots[others, :3] = np.array(texts, dtype="S24").view(np.uint64).reshape(-1, 3)
+        slots[others, 3] = 0
+    separators = slots.reshape(rows, s.width, 4)[..., 3]
+    separators[:, :-1] |= _COMMA
+    separators[:, -1] |= _NEWLINE
+    text = slots.view(np.uint8).reshape(-1)
+    keep_byte = s.text[: text.size]
+    np.not_equal(text, 0, out=keep_byte)
+    return text[keep_byte]

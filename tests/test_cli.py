@@ -76,6 +76,34 @@ class TestMatrixFiles:
         with pytest.raises(ValueError, match="JSON"):
             load_matrices(path)
 
+    @pytest.mark.parametrize(
+        "entry", ['"1"', "true", "false", "null", "[1]", "{}"],
+        ids=["string", "true", "false", "null", "list", "object"],
+    )
+    def test_non_number_entry_rejected(self, tmp_path, entry):
+        # numpy would read "1" and true as 1.0; JSON booleans are Python ints
+        path = tmp_path / "bad.json"
+        path.write_text('{"C": {"rows": 1, "cols": 2, "data": [%s, 0.5]}}' % entry)
+        with pytest.raises(ValueError, match="'C': data must be numbers"):
+            load_matrices(path)
+
+    def test_huge_integer_entry_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"C": {"rows": 1, "cols": 1, "data": [1%s]}}' % ("0" * 400))
+        with pytest.raises(ValueError, match="'C': entries must be finite"):
+            load_matrices(path)
+
+    def test_check_refuses_non_number_entries(self, tmp_path, capsys):
+        path = tmp_path / "system.json"
+        path.write_text(
+            '{"A": {"rows": 2, "cols": 2, "data": [0, 1, 0, 0]},'
+            ' "C": {"rows": 1, "cols": 2, "data": ["1", true]}}'
+        )
+        assert main(["check", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "data must be numbers" in captured.err
+        assert captured.out == ""
+
 
 class TestCheck:
     def test_detectable(self, tmp_path, capsys):
@@ -380,6 +408,17 @@ class TestDiagnosticExit:
         code = main(["simulate", sys_path, "--observer", str(obs_path)])
         assert code == 1
         assert "'G'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags", [["--t-final", "inf"], ["--dt", "nan"], ["--t-final", "1e300", "--dt", "1e-300"]],
+        ids=["inf-horizon", "nan-step", "too-many-steps"],
+    )
+    def test_unusable_horizon_exits_1(self, tmp_path, capsys, flags):
+        code = main(["simulate", write_system(tmp_path), "--poles", "-1"] + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_amplitude_length_mismatch(self, tmp_path, capsys):
         code = main(

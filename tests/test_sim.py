@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from sylvobs import (
     synthesize_observer,
     write_trace_csv,
 )
-from sylvobs.simulate import _BLOCK
+from sylvobs.simulate import _BLOCK, _CSV_VALUES, SimulationTrace, _format_g17
 
 from tests.conftest import stable_matrix
 
@@ -272,6 +273,25 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(dt=-1.0))
 
+    @pytest.mark.parametrize(
+        ("t_final", "dt", "message"),
+        [
+            (math.inf, 1e-3, "finite"),
+            (1.0, math.nan, "finite"),
+            (math.inf, math.inf, "finite"),
+            (1e300, 1e-300, "do not fit"),
+            (1e20, 1e-3, "do not fit"),
+        ],
+    )
+    def test_unusable_horizon_rejected(self, t_final, dt, message):
+        # round(inf) raised OverflowError, which callers do not expect
+        cfg = SimulationConfig(t_final=t_final, dt=dt)
+        with pytest.raises(ValueError, match=message):
+            cfg.step_count()
+        plant, obs = worked_setup()
+        with pytest.raises(ValueError, match=message):
+            simulate(plant, obs, [0.0, 0.0], [1.0], cfg)
+
     def test_dimension_validation(self):
         plant, obs = worked_setup()
         with pytest.raises(ValueError):
@@ -396,6 +416,26 @@ class TestCsv:
         assert lines[0] == "t,x_1,x_2,z_1,e_1,xhat_1,xhat_2,e_norm"
         assert len(lines) == 1 + trace.times.size
 
+    def test_writer_heap_use_is_one_block_of_text(self, tmp_path):
+        # the kernel's working arrays live in a memory map of their own, so
+        # the heap sees one block's text at a time (at most 25 bytes per
+        # value), whatever the trace length
+        rng = np.random.default_rng(94)
+        rows, n, q = 4000, 8, 6
+        trace = SimulationTrace(times=np.arange(rows) * 1e-3, x=rng.standard_normal((rows, n)),
+                                z=rng.standard_normal((rows, q)), e=rng.standard_normal((rows, q)),
+                                xhat=rng.standard_normal((rows, n)), e_norms=rng.random(rows))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, str(path))
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25 * _CSV_VALUES + 16384
+        assert path.stat().st_size > 10 * peak
+
     def test_roundtrip_exact(self):
         plant, obs = worked_setup()
         cfg = SimulationConfig(t_final=0.2, dt=0.05, input_signal=SinusoidInput([0.3]))
@@ -415,3 +455,102 @@ class TestCsv:
             ]
         )
         assert np.array_equal(data, stacked)
+
+
+class TestFormatG17:
+    """The CSV writer's kernel against ``"{:.17g}".format``, value by value."""
+
+    @staticmethod
+    def per_value_rows(values):
+        return "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in values.tolist())
+
+    def assert_formats(self, values, cols=4):
+        values = np.asarray(values, dtype=float).ravel()
+        values = np.concatenate([values, np.full(-values.size % cols, 0.5)]).reshape(-1, cols)
+        got, expected = _format_g17(values), self.per_value_rows(values)
+        # line by line first, so a mismatch reports one short line
+        for i, (a, b) in enumerate(zip(got.split("\n"), expected.split("\n"))):
+            assert (i, a) == (i, b)
+        assert got == expected
+
+    @staticmethod
+    def with_neighbours(values):
+        values = np.asarray(values, dtype=float)
+        out = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+        return np.concatenate([out, -out])
+
+    def test_powers_of_ten_and_neighbours(self):
+        self.assert_formats(self.with_neighbours([float(f"1e{e}") for e in range(-323, 309)]))
+
+    def test_powers_of_two_and_neighbours(self):
+        # every binary exponent, so every first guess of the decimal exponent
+        self.assert_formats(self.with_neighbours(2.0 ** np.arange(-1074, 1024)))
+        self.assert_formats(self.with_neighbours((2.0**53 - 1) * 2.0 ** np.arange(-1074, 971)))
+
+    def test_layout_switches(self):
+        # %g writes k = floor(log10 |x|) in fixed notation for -4 <= k < 17
+        edges = [1e-5, 1e-4, 1.0, 1e15, 1e16, 1e17]
+        steps = np.linspace(-3, 3, 61)
+        self.assert_formats(self.with_neighbours([e * (1 + s * 1e-16) for e in edges for s in steps]))
+        self.assert_formats([0.5e-4, 0.25e-4, 1.5e-5, 99999.5e-9, 123456789012345.67, 2.5e16])
+
+    def test_nines_below_a_power_of_ten(self):
+        # the double nearest 99999999999999999 is 1e17.  Only the double just
+        # below a power of ten could round up to it, and
+        # test_powers_of_ten_and_neighbours covers each of those
+        assert _format_g17(np.array([[99999999999999999.0]])) == "1e+17\n"
+        nines = [float("9" * d + "e" + str(e)) for d in range(15, 20) for e in range(-25, 20)]
+        self.assert_formats(self.with_neighbours(nines))
+
+    def test_exact_ties_round_half_to_even(self):
+        # 2^-25 = 2.98023223876953125e-08 exactly: 18 digits ending in 5
+        assert _format_g17(np.array([[2.0**-25]])) == "2.9802322387695312e-08\n"
+        rng = np.random.default_rng(91)
+        odd = rng.integers(2**52, 2**53, 400) | 1
+        self.assert_formats([float(m) * 2.0**e for m in odd for e in range(-40, 8, 3)])
+
+    def test_signed_zero_inf_and_nan(self):
+        signed_nan = -np.array([np.nan])
+        assert np.signbit(signed_nan[0])
+        values = np.array([[0.0, -0.0, np.inf, -np.inf, np.nan, signed_nan[0]]])
+        assert _format_g17(values) == "0,-0,inf,-inf,nan,nan\n"
+        self.assert_formats(values)
+
+    def test_extremes_and_random_bit_patterns(self):
+        tiny, huge = 5e-324, np.finfo(float).max
+        assert _format_g17(np.array([[tiny, huge]])) == (
+            "4.9406564584124654e-324,1.7976931348623157e+308\n"
+        )
+        self.assert_formats([tiny, -tiny, huge, -huge, np.finfo(float).tiny, 2.0**-36, 2.0**57])
+        rng = np.random.default_rng(92)
+        self.assert_formats(rng.integers(0, 2**64, 20000, dtype=np.uint64).view(np.float64))
+        self.assert_formats(rng.standard_normal(20000) * 10.0 ** rng.uniform(-12, 18, 20000))
+
+    def test_one_column_and_one_row_blocks(self):
+        values = np.random.default_rng(93).standard_normal(50) * 1e3
+        for block in (values[:, None], values[None, :]):
+            assert _format_g17(block) == self.per_value_rows(block)
+
+    def test_zero_row_trace(self):
+        assert _format_g17(np.empty((0, 3))) == ""
+        n, q = 2, 1
+        trace = SimulationTrace(times=np.empty(0), x=np.empty((0, n)), z=np.empty((0, q)),
+                                e=np.empty((0, q)), xhat=np.empty((0, n)), e_norms=np.empty(0))
+        buf = io.StringIO()
+        write_trace_csv(trace, buf)
+        assert buf.getvalue() == "t,x_1,x_2,z_1,e_1,xhat_1,xhat_2,e_norm\n"
+
+    def test_any_float_block(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        from hypothesis.extra.numpy import arrays
+
+        shapes = hypothesis.strategies.tuples(
+            hypothesis.strategies.integers(0, 6), hypothesis.strategies.integers(1, 6)
+        )
+
+        @hypothesis.settings(derandomize=True, max_examples=300, database=None, deadline=None)
+        @hypothesis.given(arrays(np.float64, shapes))
+        def formats_like_str_format(block):
+            assert _format_g17(block) == self.per_value_rows(block)
+
+        formats_like_str_format()
