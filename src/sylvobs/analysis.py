@@ -129,16 +129,16 @@ def _distinct_eigenvalues(vals, match_tol):
     return reps
 
 
-def check_detectability(A, C, tol=0.0, stability_tol=None):
+def check_detectability(A, C, tol=0.0):
     """Detectability verdict: every unstable eigenvalue must be observable.
 
     Decided on the hidden block of :func:`obs_decompose` (same ``tol``).
     ``per_eigenvalue`` lists the distinct eigenvalues of its observable and
     hidden blocks, merged at ``DEFAULTS.eig_match``; one found in the
-    hidden block is unobservable.  Eigenvalues with ``Re >= -stability_tol``
-    count as unstable, so marginal modes must be observable to pass.
+    hidden block is unobservable.  Eigenvalues with
+    ``Re >= -DEFAULTS.stability`` count as unstable, so marginal modes must
+    be observable to pass.
     """
-    band = DEFAULTS.stability if stability_tol is None else stability_tol
     dec = _decompose(*_validated_pair(A, C), tol)
     hidden = eigenvalues(dec.A22)
     merged = sorted([*eigenvalues(dec.A11), *hidden], key=lambda v: (-v.real, -v.imag))
@@ -147,11 +147,11 @@ def check_detectability(A, C, tol=0.0, stability_tol=None):
         EigAnalysis(
             eigenvalue=lam,
             observable=not any(abs(lam - h) <= match * (1.0 + abs(lam)) for h in hidden),
-            stable=lam.real < -band,
+            stable=lam.real < -DEFAULTS.stability,
         )
         for lam in _distinct_eigenvalues(merged, match)
     ]
-    offending = _unstable_hidden_modes(dec, band)
+    offending = _unstable_hidden_modes(hidden)
     return DetectabilityVerdict(
         detectable=not offending,
         per_eigenvalue=per,
@@ -204,11 +204,10 @@ def obs_decompose(A, C, tol=0.0):
     return _decompose(*_validated_pair(A, C), tol)
 
 
-def _unstable_hidden_modes(dec, stability_tol=None):
-    """Unobservable modes of a staircase with ``Re >= -stability_tol``, judged
-    at the cutoff that split them off; the pair is detectable iff none."""
-    band = DEFAULTS.stability if stability_tol is None else stability_tol
-    return [complex(v) for v in eigenvalues(dec.A22) if v.real >= -band]
+def _unstable_hidden_modes(hidden):
+    """The eigenvalues ``hidden`` of a staircase's unobservable block with
+    ``Re >= -DEFAULTS.stability``; the pair is detectable iff none."""
+    return [complex(v) for v in hidden if v.real >= -DEFAULTS.stability]
 
 
 def _undetectable(offending):

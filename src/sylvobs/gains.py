@@ -35,7 +35,7 @@ import itertools
 import numpy as np
 
 from .analysis import _decompose, _undetectable, _unstable_hidden_modes
-from .linalg import _rank_cutoff, as_matrix, as_square, spectral_abscissa
+from .linalg import _rank_cutoff, as_matrix, as_square, eigenvalues, spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
 
@@ -303,7 +303,7 @@ def _place_output_injection(dec, poles):
     return K
 
 
-def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
+def stabilizing_gain(Ao, Co, desired=None, tol=0.0):
     """Gain K making ``Ao + K @ Co`` Hurwitz stable, for detectable pairs.
 
     The pair is split as in :func:`obs_decompose` (``tol`` is its rank
@@ -321,14 +321,14 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0, stability_tol=None):
     ------
     UndetectableError
         When an eigenvalue of the unobservable block is not stable
-        (``Re >= -stability_tol``); ``offending`` lists those values.
+        (``Re >= -DEFAULTS.stability``); ``offending`` lists those values.
     """
     A = as_square(Ao, "Ao")
     C = as_matrix(Co, "Co")
     if C.shape[1] != A.shape[0]:
         raise ValueError(f"Co must have {A.shape[0]} columns, got {C.shape[1]}")
     dec = _decompose(A, C, tol)
-    offending = _unstable_hidden_modes(dec, stability_tol)
+    offending = _unstable_hidden_modes(eigenvalues(dec.A22))
     if offending:
         raise _undetectable(offending)
     return _staircase_gain(A, C, dec, desired)

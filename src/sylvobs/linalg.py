@@ -8,7 +8,7 @@ never mutate them, so concurrent use is safe.
 Tolerance defaults are centralised in :class:`Tolerances`.  Rank
 cutoffs are a ``tol`` argument instead: ``tol=0.0`` selects the default
 SVD rule ``max(rows, cols) * eps * sigma_max``, a positive ``tol`` is an
-absolute cutoff.
+absolute cutoff, and a negative or non-finite one is rejected.
 """
 
 from dataclasses import dataclass
@@ -115,8 +115,8 @@ def as_square(M, name="matrix", allow_empty=False):
 
 
 def _rank_cutoff(shape, svals, tol):
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    if not 0 <= tol < np.inf:
+        raise ValueError("tol must be finite and >= 0")
     if tol > 0:
         return tol
     smax = float(svals[0]) if svals.size else 0.0

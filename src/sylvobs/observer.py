@@ -104,7 +104,7 @@ class ReducedObserver:
         return self.F @ z + self.G @ y + self.P @ u
 
 
-def synthesize_observer(plant, desired=None, tol=0.0, stability_tol=None):
+def synthesize_observer(plant, desired=None, tol=0.0):
     """Build the order-(n-p) observer for a detectable plant.
 
     Solves the constrained equation for (T, F, G) and sets P = T @ B.
@@ -120,7 +120,7 @@ def synthesize_observer(plant, desired=None, tol=0.0, stability_tol=None):
     """
     if not isinstance(plant, Plant):
         plant = Plant(*plant)
-    sol = solve_constrained_sylvester(plant.A, plant.C, desired, tol, stability_tol)
+    sol = solve_constrained_sylvester(plant.A, plant.C, desired, tol)
     P = sol.T @ plant.B
     p = plant.p
     W = np.hstack([sol.L[:, :p] - sol.L[:, p:] @ sol.K, sol.L[:, p:]])

@@ -25,10 +25,14 @@ it with a ``ValueError`` instead.
 
 The recorded error e = z - T x is recomputed from the stored states at
 every sample and, for a valid observer, follows e(t) = expm(F t) e(0) up
-to integrator truncation.  ``sylvobs simulate`` runs through
-``_summarize``, which integrates into a buffer of ``_BLOCK + 1`` samples and
-writes and summarises each block in turn, so the command never holds the
-whole trace.
+to integrator truncation.
+
+One loop, ``_run``, makes every run: it checks everything first, then
+integrates block by block, and sets each block's times, e, xhat and e_norms
+before it yields the block.  ``simulate`` runs it over the whole trace.
+``sylvobs simulate`` runs it through ``_summarize`` in a window of
+``_BLOCK + 1`` samples, and writes and summarises each block as it comes, so
+the command never holds the whole trace and its samples are ``simulate``'s.
 
 The CSV holds every value as ``"{:.17g}".format`` writes it, byte for byte,
 but the text comes from a numpy kernel, ``_format_block``, about
@@ -133,10 +137,8 @@ class SimulationConfig:
         ratio = self.t_final / self.dt
         if not ratio < np.iinfo(np.intp).max:
             raise ValueError(f"t_final / dt = {ratio:g} steps do not fit an index")
-        steps = int(round(ratio))
-        if steps < 1:
-            raise ValueError("horizon must cover at least one step")
-        return steps
+        # dt <= t_final, so the ratio is at least 1 and so is its rounding
+        return int(round(ratio))
 
 
 @dataclass(frozen=True)
@@ -219,41 +221,6 @@ def _step_maps(Abig, Bbig, dt):
     return M, np.ascontiguousarray(MW[:, N:].T), np.linalg.matrix_power(M, _GROUP)
 
 
-def _integrate(states, Abig, Bbig, dt, u, u_start, steps):
-    """Run ``steps`` RK4 steps of ds/dt = Abig s + Bbig u(t) from
-    ``states[0]`` block by block; ``u_start`` is u(0).
-
-    After each block, yields its first step ``lo`` and its step count
-    ``k``.  With ``steps + 1`` rows, states lo .. lo + k are rows
-    lo .. lo + k; with ``_BLOCK + 1`` rows, every block reuses rows 0 .. k,
-    and its first row is the last state of the block before.
-    """
-    N, m = Bbig.shape
-    whole = len(states) == steps + 1
-    M, W_T, M_L = _step_maps(Abig, Bbig, dt)
-    c = np.empty((_BLOCK // _GROUP, N))
-    tmp = np.empty((_BLOCK // _GROUP + 1, N))
-    # within a block, uv[2j] = u(t_j) and uv[2j + 1] = u(t_j + dt/2), so
-    # row j of uv_windows is the 3m-vector [u0; uh; u1] of the block's step j
-    uv = np.empty((2 * _BLOCK + 1, m))
-    uv_windows = sliding_window_view(uv.reshape(-1), 3 * m)[:: 2 * m]
-    uv[0] = u_start
-    for lo in range(0, steps, _BLOCK):
-        hi = min(lo + _BLOCK, steps)
-        k = hi - lo
-        a = lo if whole else 0
-        if lo and not whole:
-            states[0] = states[_BLOCK]
-        # each distinct input time once, in time order; the even ones are
-        # exactly times[lo + 1 .. hi]
-        for r, t in enumerate((np.arange(2 * lo + 1, 2 * hi + 1) * (0.5 * dt)).tolist(), 1):
-            uv[r] = u(t)
-        np.matmul(uv_windows[:k], W_T, out=states[a + 1 : a + k + 1])
-        _recur(states[a : a + k + 1], M, M_L, c, tmp)
-        uv[0] = uv[2 * k]  # u(t_hi) starts the next block
-        yield lo, k
-
-
 def _recur(S, M, M_L, c, tmp):
     """Run s_{j+1} = M s_j + b_j in place over the rows of ``S``.
 
@@ -307,29 +274,33 @@ def simulate(plant, obs, x0, z0, cfg=SimulationConfig()):
     1e19; the trace then turns non-finite from step 16 on, about where it
     overflows step by step anyway.
     """
-    x0, z0, steps, Abig, Bbig, u, u_start = _setup(plant, obs, x0, z0, cfg)
-    trace, states = _trace_buffer(steps + 1, plant.n, obs.order)
-    states[0, : plant.n] = x0
-    states[0, plant.n :] = z0
-    for _block in _integrate(states, Abig, Bbig, cfg.dt, u, u_start, steps):
+    trace, blocks = _run(plant, obs, x0, z0, cfg)
+    for _block in blocks:
         pass
-    np.multiply(np.arange(steps + 1), cfg.dt, out=trace.times)
-    yz = np.empty((_BLOCK, plant.n))
-    for lo in range(0, steps + 1, _BLOCK):
-        _estimates(plant, obs, trace, slice(lo, lo + _BLOCK), yz)
     return trace
 
 
-def _setup(plant, obs, x0, z0, cfg):
-    """Every check of ``simulate``, then what its integration needs:
-    x0, z0, steps, Abig, Bbig, the input callable and u(0)."""
-    n, m, p = plant.n, plant.m, plant.p
-    if obs.T.shape[1] != n or obs.p != p or obs.P.shape[1] != m:
-        raise ValueError("observer dimensions do not match the plant")
+def _run(plant, obs, x0, z0, cfg, window=False):
+    """Every check of ``simulate``, then its trace and the loop that fills it.
+
+    Returns the trace, of ``steps + 1`` samples or, with ``window``, of
+    ``_BLOCK + 1`` samples that every block reuses (its first row is the
+    last state of the block before), and a generator that integrates the
+    run block by block.  After each block it yields the step of the block's
+    first new sample and those samples (the initial one with the first
+    block) as a ``SimulationTrace`` of views, times and estimates set.
+    """
+    n, m, p, q = plant.n, plant.m, plant.p, obs.order
+    for name, given, shape in (("F", obs.F, (q, q)), ("G", obs.G, (q, p)), ("P", obs.P, (q, m)),
+                               ("T", obs.T, (q, n)), ("W", obs.W, (n, n))):
+        if given.shape != shape:
+            raise ValueError(f"observer {name} must have shape {shape} for this plant, "
+                             f"got {given.shape}")
     x0 = as_vector(x0, "x0", n)
-    z0 = as_vector(z0, "z0", obs.order)
+    z0 = as_vector(z0, "z0", q)
     steps = cfg.step_count()
-    _check_step_stability(plant, obs, cfg.dt)
+    dt = cfg.dt
+    _check_step_stability(plant, obs, dt)
 
     u = cfg.input_signal
     if u is None:
@@ -338,13 +309,54 @@ def _setup(plant, obs, x0, z0, cfg):
     u_start = as_vector(u(0.0), "input_signal(0)", m)  # fail fast on wrong input width
 
     # coupled linear system: d[x; z]/dt = Abig [x; z] + Bbig u(t)
-    N = n + obs.order
+    N = n + q
     Abig = np.zeros((N, N))
     Abig[:n, :n] = plant.A
     Abig[n:, :n] = obs.G @ plant.C
     Abig[n:, n:] = obs.F
-    Bbig = np.vstack([plant.B, obs.P])
-    return x0, z0, steps, Abig, Bbig, u, u_start
+    M, W_T, M_L = _step_maps(Abig, np.vstack([plant.B, obs.P]), dt)
+
+    rows = _BLOCK + 1 if window else steps + 1
+    # the window is an anonymous memory map of its own, returned whole when
+    # the run ends: it leaves no hole in the heap of a process that runs
+    # the command again and again
+    flat = _anonymous(8 * rows * (2 * N + 2)).view(np.float64) if window else None
+    trace, states = _trace_buffer(rows, n, q, flat)
+    states[0, :n] = x0
+    states[0, n:] = z0
+
+    def blocks():
+        c = np.empty((_BLOCK // _GROUP, N))
+        tmp = np.empty((_BLOCK // _GROUP + 1, N))
+        yz = np.empty((_BLOCK + 1, n))
+        # within a block, uv[2j] = u(t_j) and uv[2j + 1] = u(t_j + dt/2), so
+        # row j of uv_windows is the 3m-vector [u0; uh; u1] of the block's step j
+        uv = np.empty((2 * _BLOCK + 1, m))
+        uv_windows = sliding_window_view(uv.reshape(-1), 3 * m)[:: 2 * m]
+        uv[0] = u_start
+        for lo in range(0, steps, _BLOCK):
+            hi = min(lo + _BLOCK, steps)
+            k = hi - lo
+            a = 0 if window else lo  # the row of step lo
+            if window and lo:
+                states[0] = states[_BLOCK]
+            # each distinct input time once, in time order; the even ones are
+            # exactly times[lo + 1 .. hi]
+            for r, t in enumerate((np.arange(2 * lo + 1, 2 * hi + 1) * (0.5 * dt)).tolist(), 1):
+                uv[r] = u(t)
+            np.matmul(uv_windows[:k], W_T, out=states[a + 1 : a + k + 1])
+            _recur(states[a : a + k + 1], M, M_L, c, tmp)
+            uv[0] = uv[2 * k]  # u(t_hi) starts the next block
+            # the block's new samples, and the initial one with the first block
+            skip = 1 if lo else 0
+            new = slice(a + skip, a + k + 1)
+            np.multiply(np.arange(lo + skip, hi + 1), dt, out=trace.times[new])
+            _estimates(plant, obs, trace, new, yz)
+            yield lo + skip, SimulationTrace(
+                times=trace.times[new], x=trace.x[new], z=trace.z[new], e=trace.e[new],
+                xhat=trace.xhat[new], e_norms=trace.e_norms[new])
+
+    return trace, blocks()
 
 
 def _trace_buffer(rows, n, q, flat=None):
@@ -388,40 +400,23 @@ def _estimates(plant, obs, trace, rows, yz):
 
 
 def _summarize(plant, obs, x0, z0, cfg, csv=None):
-    """Run ``simulate`` in a buffer of ``_BLOCK + 1`` samples instead of the
+    """Run ``simulate`` in a window of ``_BLOCK + 1`` samples instead of the
     whole trace.
 
     Returns ``error_metrics`` of the trace and the step and time of its
     first non-finite sample, or None.  With ``csv``, a path, the trace is
-    written there as ``write_trace_csv`` writes it, byte for byte.
+    written there as ``write_trace_csv`` writes it, byte for byte.  Every
+    check runs before the file is opened.
     """
-    x0, z0, steps, Abig, Bbig, u, u_start = _setup(plant, obs, x0, z0, cfg)
-    n, q = plant.n, obs.order
-    # the buffer is an anonymous memory map of its own, returned whole when
-    # the run ends: it leaves no hole in the heap of a process that runs
-    # the command again and again
-    nbytes = 8 * (_BLOCK + 1) * (2 * (n + q) + 2)
-    window, states = _trace_buffer(
-        _BLOCK + 1, n, q, np.frombuffer(mmap.mmap(-1, nbytes), np.float64)
-    )
-    states[0, :n] = x0
-    states[0, n:] = z0
-    yz = np.empty((_BLOCK + 1, n))
+    window, blocks = _run(plant, obs, x0, z0, cfg, window=True)
     initial = None
     nonfinite = None
     with open(csv, "wb") if csv else nullcontext() as fh:
         if fh is not None:
+            n, q = window.x.shape[1], window.z.shape[1]
             fh.write(_csv_header(n, q).encode("ascii"))
             scratch = _Scratch(2 * (n + q) + 2)
-        for lo, k in _integrate(states, Abig, Bbig, cfg.dt, u, u_start, steps):
-            # the block's new samples, and the initial one with the first block
-            first = 1 if lo else 0
-            rows = slice(first, k + 1)
-            np.multiply(np.arange(lo + first, lo + k + 1), cfg.dt, out=window.times[rows])
-            _estimates(plant, obs, window, rows, yz)
-            block = SimulationTrace(times=window.times[rows], x=window.x[rows],
-                                    z=window.z[rows], e=window.e[rows],
-                                    xhat=window.xhat[rows], e_norms=window.e_norms[rows])
+        for start, block in blocks:
             if fh is not None:
                 _write_csv_rows(fh.write, _csv_columns(block), scratch)
             if initial is None:
@@ -432,7 +427,7 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
                 finite = np.isfinite(block.x).all(axis=1) & np.isfinite(block.z).all(axis=1)
                 if not finite.all():
                     row = int(np.argmin(finite))
-                    nonfinite = (lo + first + row, float(block.times[row]))
+                    nonfinite = (start + row, float(block.times[row]))
     return _final_metrics(initial, block), nonfinite
 
 

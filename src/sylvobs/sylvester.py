@@ -37,6 +37,7 @@ from .linalg import (
     _normalizing_transform,
     as_matrix,
     as_square,
+    eigenvalues,
     output_normalizing_transform,
     rank_tol,
     spectral_abscissa,
@@ -119,7 +120,7 @@ def partition_by_output(A, C, tol=0.0):
     )
 
 
-def _split(A, C, tol, stability_tol):
+def _split(A, C, tol):
     """The observability split of ``analysis``, C's full row rank and L.
 
     Returns ``((U, s, Q, L, A22, A12, dec), [])`` for a detectable pair,
@@ -130,13 +131,13 @@ def _split(A, C, tol, stability_tol):
     U, s, Q, N, A22, A12, dec = _obs_split(A, C, tol)
     if s.size < C.shape[0]:
         raise ValueError("C must have full row rank")
-    offending = _unstable_hidden_modes(dec, stability_tol)
+    offending = _unstable_hidden_modes(eigenvalues(dec.A22))
     if offending:
         return None, offending
     return (U, s, Q, _normalizing_transform(U, s, Q, N), A22, A12, dec), offending
 
 
-def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None):
+def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
     """Construct (T, F, G) solving the constrained equation for (A, C).
 
     Parameters
@@ -148,8 +149,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
         negative, conjugate-closed.
     tol : float
         Rank tolerance and staircase cutoff (0 selects the default rules).
-    stability_tol : float, optional
-        Stability band override for the detectability gate.
+        The detectability gate's stability band is ``DEFAULTS.stability``.
 
     Returns
     -------
@@ -165,7 +165,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0, stability_tol=None)
         solution exists at all.
     """
     A, C = _validated_system(A, C)
-    split, offending = _split(A, C, tol, stability_tol)
+    split, offending = _split(A, C, tol)
     if split is None:
         raise _undetectable(offending)
     U, s, Q, L, A22, A12, dec = split

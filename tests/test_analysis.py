@@ -262,6 +262,26 @@ class TestOneVerdict:
             for lam in verdict.offending:
                 assert not observable_row(verdict, lam), (i, lam)
 
+    @pytest.mark.parametrize("h, detectable", [(-5e-10, False), (-2e-9, True)])
+    def test_one_stability_band(self, h, detectable):
+        # a hidden mode h beside an observable double integrator: inside the
+        # band (Re >= -1e-9) it makes the pair undetectable at every entry
+        # point, and each names it; just outside, every entry point accepts
+        A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, h]])
+        C = np.array([[1.0, 0.0, 0.0]])
+        verdict = check_detectability(A, C)
+        assert verdict.detectable == detectable
+        if detectable:
+            K = stabilizing_gain(A, C)
+            assert spectral_abscissa(A + K @ C) < 0.0
+            assert solve_constrained_sylvester(A, C).report.F_spectral_abscissa < 0.0
+            return
+        assert_allclose(verdict.offending, [h], rtol=1e-6)
+        for solve in (stabilizing_gain, solve_constrained_sylvester):
+            with pytest.raises(UndetectableError) as excinfo:
+                solve(A, C)
+            assert_allclose(excinfo.value.offending, [h], rtol=1e-6)
+
     @pytest.mark.parametrize("n, p", [(8, 2), (9, 10)])
     def test_check_computes_split_once(self, monkeypatch, n, p):
         # one SVD of C, one staircase, and no complex SVD

@@ -127,6 +127,14 @@ class TestCheck:
         assert code == 1
         assert "'C'" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tol_rejected(self, tmp_path, capsys, tol):
+        code = main(["check", write_system(tmp_path), "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "tol must be finite and >= 0" in captured.err
+        assert captured.out == ""
+
     def test_json_output(self, tmp_path, capsys):
         code = main(["check", write_system(tmp_path), "--json"])
         doc = json.loads(capsys.readouterr().out)
@@ -307,6 +315,31 @@ class TestSimulate:
         )
         assert main(["observe", other, "--out", obs_path]) == 0
         assert main(["simulate", sys_path, "--observer", obs_path]) == 1
+
+    @pytest.mark.parametrize("name, shape, expected", [
+        ("F", (2, 3), (2, 2)),
+        ("G", (1, 1), (2, 1)),
+        ("P", (2, 2), (2, 1)),
+        ("T", (2, 2), (2, 3)),
+        ("W", (2, 3), (3, 3)),
+    ], ids=["F", "G", "P", "T", "W"])
+    def test_malformed_observer_file(self, tmp_path, capsys, name, shape, expected):
+        # one mis-shaped matrix of an order-2 observer of a 3-state plant is
+        # named with both shapes before the CSV is opened
+        sys_path = write_system(tmp_path, A=np.diag([-1.0, -2.0, -3.0]), B=np.ones((3, 1)),
+                                C=np.array([[1.0, 0.0, 0.0]]))
+        obs_path = tmp_path / "obs.json"
+        assert main(["observe", sys_path, "--out", str(obs_path)]) == 0
+        matrices = load_matrices(obs_path)
+        matrices[name] = np.ones(shape)
+        save_matrices(obs_path, matrices)
+        capsys.readouterr()
+        csv_path = tmp_path / "t.csv"
+        code = main(["simulate", sys_path, "--observer", str(obs_path), "--csv", str(csv_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"observer {name} must have shape {expected}" in err and f"got {shape}" in err
+        assert not csv_path.exists()
 
     def test_x0_flag_overrides(self, tmp_path, capsys):
         path = write_system(tmp_path)

@@ -60,8 +60,11 @@ class TestRank:
         assert rank_tol(M, tol=1e-3) == 1
 
     def test_negative_tol_rejected(self):
-        with pytest.raises(ValueError):
-            rank_tol(np.eye(2), tol=-1.0)
+        # nan and inf too: nan would fall through to the default rule, inf
+        # would call every singular value zero
+        for tol in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                rank_tol(np.eye(2), tol=tol)
 
     def test_transpose_invariance(self):
         rng = np.random.default_rng(0)
