@@ -22,10 +22,12 @@ small linear solve, and the stage's share is placed on it by the per-pole
 rule.  The per-pole rule inserts one real eigenvalue, or one
 complex-conjugate pair as a real 2x2 block, as an invariant subspace of
 the closed loop, deflates it with a Householder similarity and recurses
-on the remainder.  It is also the base case: from the first stage that
-cannot take a conjugate-closed share (odd r_i and no real target left,
-e.g. one output and complex targets) down, the rest of the pair is placed
-pole by pole whole.  Gains stay real throughout; repeated poles (single-
+on the remainder.  It finds each pole's null direction from the
+least-norm input on a stage block, whose input has full row rank, and
+from an SVD of the whole pencil in the base case: from the first stage
+that cannot take a conjugate-closed share (odd r_i and no real target
+left, e.g. one output and complex targets) down, the rest of the pair is
+placed pole by pole whole.  Gains stay real throughout; repeated poles (single-
 or multi-output) are supported.  For p > 1 the gain is not unique; the
 result is deterministic but only the spectrum is contracted.
 """
@@ -79,45 +81,58 @@ def _check_conjugate_closed(vals, name="poles"):
         unmatched.pop(int(np.argmin(dists)))
 
 
-def _null_space(M, tol=0.0):
-    """Orthonormal basis of the right null space (real or complex M)."""
+def _pencil_directions(S, B):
+    """Null directions ``(X, W)`` of ``[S, B]`` (real or complex S) as the
+    columns of their state and input parts, largest state part first: one
+    SVD of the pencil for an orthonormal null basis, one of its state part
+    to order it.  Any B."""
+    n, M = len(S), np.hstack([S, B])
     _, s, Vh = np.linalg.svd(M)
-    r = int(np.count_nonzero(s > _rank_cutoff(M.shape, s, tol)))
-    return Vh[r:].conj().T
+    N = Vh[int(np.count_nonzero(s > _rank_cutoff(M.shape, s, 0.0))):].conj().T
+    V = np.linalg.svd(N[:n])[2].conj().T
+    return N[:n] @ V, N[n:] @ V
 
 
-def _insert_invariant_block(A, B, mu):
+def _least_norm_directions(S, B):
+    """``_pencil_directions`` without those of zero state part, for B of
+    full row rank (every stage block and its deflations).  The null space
+    of ``[S, B]`` is then ``{(x, -P x)}`` plus ``{0} x null(B)``, with
+    ``P = B+ S = B.T solve(B B.T, S)``, and the directions are
+    ``(x_j, -P x_j)``, ``x_j = v_j / sqrt(1 + s_j^2)`` over the right
+    singular vectors of P in ascending s: one solve and one SVD of order r.
+    ``B B.T`` is diagonal for a stage block, whose rows are orthogonal, but
+    not for its deflations, whose conditioning it squares."""
+    P = B.T @ np.linalg.solve(B @ B.T, S)
+    _, s, Vh = np.linalg.svd(P, full_matrices=False)
+    X = Vh[::-1].conj().T / np.sqrt(1.0 + s[::-1] ** 2)
+    return X, -P @ X
+
+
+def _insert_invariant_block(A, B, mu, directions):
     """Real F0 and an orthonormal basis U of the orthogonal complement of an
     (A + B F0)-invariant subspace, so that ``U.T (A + B F0) U`` deflates it.
 
     The invariant subspace carries eigenvalue ``mu`` (U has n - 1 columns)
     or the pair ``mu, conj(mu)`` (n - 2 columns, mu.imag > 0).  Derived from
     a null vector [x; w] of [A - mu*I, B]: then A x + B w = mu x, and any
-    real F0 with F0 x = w makes x (or span{Re x, Im x}) invariant.  U is the
+    real F0 with F0 x = w makes x (or span{Re x, Im x}) invariant.  The
+    caller names the rule ``directions``; its columns for ``A - mu*I`` are
+    the candidates, then for a pair ``(x_j + i x_k) / sqrt(2)``.  U is the
     rest of one Householder reflector for a real x, and of a complete QR of
     [Re x, Im x] for a pair.
     """
     n = A.shape[0]
-    if mu.imag == 0.0:
-        M = np.hstack([A - mu.real * np.eye(n), B])
-    else:
-        M = np.hstack([A - mu * np.eye(n, dtype=complex), B.astype(complex)])
-    N = _null_space(M)
-    if N.shape[1] == 0:
+    X, W = directions(A - (mu.real if mu.imag == 0.0 else mu) * np.eye(n), B)
+    if X.shape[1] == 0:
         raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: no null direction")
-    X, W = N[:n], N[n:]
-    # pick null-space combinations with the largest state component first
-    basis = np.linalg.svd(X)[2].conj()
-    candidates = iter(basis)
+    candidates = zip(X.T, W.T)
     if mu.imag != 0.0:
-        d = basis.shape[0]
         pairs = (
-            (basis[j] + 1j * basis[k]) / np.sqrt(2.0) for j in range(d) for k in range(j + 1, d)
+            ((X[:, j] + 1j * X[:, k]) / np.sqrt(2.0), (W[:, j] + 1j * W[:, k]) / np.sqrt(2.0))
+            for j, k in itertools.combinations(range(X.shape[1]), 2)
         )
         candidates = itertools.chain(candidates, pairs)
-    for v in candidates:
-        x = X @ v
-        w = W @ v
+    for x, w in candidates:
         nx = np.linalg.norm(x)
         if nx <= 1e-12:
             continue
@@ -152,15 +167,16 @@ def _placement_order(poles):
     return items
 
 
-def _place_feedback(A, B, items):
+def _place_feedback(A, B, items, directions):
     """Real F with the spectrum of ``A + B @ F`` equal to the placement
-    ``items`` (each pair item places both members), one pole at a time."""
+    ``items`` (each pair item places both members), one pole at a time by
+    the rule ``directions`` (see ``_insert_invariant_block``)."""
     if A.shape[0] == 0:
         return np.zeros((B.shape[1], 0))
-    F0, U = _insert_invariant_block(A, B, items[0])
+    F0, U = _insert_invariant_block(A, B, items[0], directions)
     if U.shape[1] == 0:
         return F0
-    G = _place_feedback(U.T @ (A + B @ F0) @ U, U.T @ B, items[1:])
+    G = _place_feedback(U.T @ (A + B @ F0) @ U, U.T @ B, items[1:], directions)
     return F0 + G @ U.T
 
 
@@ -217,7 +233,7 @@ def _stage_feedback(H, B, stages, poles):
         o = starts[i]
         return H[o:, o:], B if i == 0 else H[o:, starts[i - 1]:o]
 
-    K = _place_feedback(*stage_pair(len(shares)), items)
+    K = _place_feedback(*stage_pair(len(shares)), items, _pencil_directions)
     for i in reversed(range(len(shares))):
         Hi, Bi = stage_pair(i)
         K = _stage_gain(Hi, Bi[: stages[i]], K, shares[i])
@@ -233,16 +249,17 @@ def _stage_gain(H, B1, K2, items):
     ``B1 F = D1 Z + E`` makes the closed loop similar to
     ``[[D1, 0], [H[r:, :r], H[r:, r:] + H[r:, :r] K2]]``.
     ``D1* = -E Z+`` minimises ``||D1 Z + E||``, and ``D1 = D1* + B1 G``
-    takes the stage's poles by the per-pole rule on ``(D1*, B1)``; F is the
-    least-norm solution.  Both solves are of order r.  The rows of B1 are
-    orthogonal up to round-off (the staircase takes every block from an
-    SVD), so ``B1 B1.T`` is diagonal up to round-off and its normal
-    equations do not square the conditioning of B1."""
+    takes the stage's poles by the per-pole rule on ``(D1*, B1)``, by
+    least-norm inputs; F is the least-norm solution.  Both solves are of
+    order r.  The rows of B1 are orthogonal up to round-off (the staircase
+    takes every block from an SVD), so ``B1 B1.T`` is diagonal up to
+    round-off and its normal equations do not square the conditioning of
+    B1."""
     r = B1.shape[0]
     E = K2 @ H[r:] - H[:r]
     EZt = E[:, :r] - E[:, r:] @ K2.T
     D = -np.linalg.solve(np.eye(r) + K2 @ K2.T, EZt.T).T
-    D += B1 @ _place_feedback(D, B1, items)
+    D += B1 @ _place_feedback(D, B1, items, _least_norm_directions)
     E[:, :r] += D
     E[:, r:] -= D @ K2
     return B1.T @ np.linalg.solve(B1 @ B1.T, E)

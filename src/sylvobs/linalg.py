@@ -165,10 +165,9 @@ def spectral_abscissa(M):
 def _canonical_signs(Q):
     """Flip column signs so the largest-magnitude entry of each is positive."""
     Q = np.array(Q)
-    for j in range(Q.shape[1]):
-        col = Q[:, j]
-        if col.size and col[np.argmax(np.abs(col))] < 0:
-            Q[:, j] = -col
+    if Q.size:
+        flip = Q[np.argmax(np.abs(Q), axis=0), np.arange(Q.shape[1])] < 0
+        Q[:, flip] = -Q[:, flip]
     return Q
 
 

@@ -63,8 +63,10 @@ class ReducedObserver:
     """Observer matrices (F, G, P, T) and the recombination matrix W.
 
     ``report`` is the solve's verification report of (T, F, G); it is
-    ``None`` for an observer built from stored matrices.  Immutable after
-    synthesis; the methods are pure and concurrent-safe.
+    ``None`` for an observer built from stored matrices.  The shapes are
+    checked when it is built: F q x q, G q x p, P q x m, T q x n and W
+    n x n with n = q + p.  Immutable after synthesis; the methods are pure
+    and concurrent-safe.
     """
 
     F: np.ndarray
@@ -73,6 +75,16 @@ class ReducedObserver:
     T: np.ndarray
     W: np.ndarray
     report: SolveReport | None = None
+
+    def __post_init__(self):
+        shapes = [np.shape(M) for M in (self.F, self.G, self.P, self.T, self.W)]
+        if any(len(shape) != 2 for shape in shapes):
+            raise ValueError("observer matrices must be 2-D")
+        q, p, m = shapes[0][0], shapes[1][1], shapes[2][1]
+        expected = ((q, q), (q, p), (q, m), (q, q + p), (q + p, q + p))
+        for name, shape, want in zip("FGPTW", shapes, expected):
+            if shape != want:
+                raise ValueError(f"observer {name} must have shape {want}, got {shape}")
 
     @property
     def order(self):

@@ -290,9 +290,9 @@ def _run(plant, obs, x0, z0, cfg, window=False):
     first new sample and those samples (the initial one with the first
     block) as a ``SimulationTrace`` of views, times and estimates set.
     """
-    n, m, p, q = plant.n, plant.m, plant.p, obs.order
-    for name, given, shape in (("F", obs.F, (q, q)), ("G", obs.G, (q, p)), ("P", obs.P, (q, m)),
-                               ("T", obs.T, (q, n)), ("W", obs.W, (n, n))):
+    n, m, q = plant.n, plant.m, obs.order
+    for name, given, shape in (("G", obs.G, (q, plant.p)), ("P", obs.P, (q, m)),
+                               ("W", obs.W, (n, n))):
         if given.shape != shape:
             raise ValueError(f"observer {name} must have shape {shape} for this plant, "
                              f"got {given.shape}")

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -145,9 +147,9 @@ class TestStageSplit:
         orders = []
         place = gains._place_feedback
 
-        def recorded(A, B, items):
+        def recorded(A, B, items, directions):
             orders.append(A.shape[0])
-            return place(A, B, items)
+            return place(A, B, items, directions)
 
         monkeypatch.setattr(gains, "_place_feedback", recorded)
         return orders
@@ -197,6 +199,127 @@ class TestStageSplit:
                 K = place_poles(A, C, poles)
                 expected = ackermann_gain(A, C, poles)
                 assert np.linalg.norm(K - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+def two_svd_insert(A, B, mu):
+    """The per-pole rule from one SVD of the pencil [A - mu I, B] and one of
+    the state part of its null space: the rule for any B, written out."""
+    n = A.shape[0]
+    if mu.imag == 0.0:
+        M = np.hstack([A - mu.real * np.eye(n), B])
+    else:
+        M = np.hstack([A - mu * np.eye(n, dtype=complex), B.astype(complex)])
+    _, s, Vh = np.linalg.svd(M)
+    N = Vh[int(np.count_nonzero(s > max(M.shape) * np.finfo(float).eps * s[0])):].conj().T
+    X, W = N[:n], N[n:]
+    basis = np.linalg.svd(X)[2].conj()
+    candidates = iter(basis)
+    if mu.imag != 0.0:
+        d = basis.shape[0]
+        pairs = (
+            (basis[j] + 1j * basis[k]) / np.sqrt(2.0) for j in range(d) for k in range(j + 1, d)
+        )
+        candidates = itertools.chain(candidates, pairs)
+    for v in candidates:
+        x, w = X @ v, W @ v
+        nx = np.linalg.norm(x)
+        if nx <= 1e-12:
+            continue
+        if mu.imag == 0.0:
+            x, w = x.real, w.real
+            h = x / nx
+            h[0] += np.copysign(1.0, h[0])
+            return np.outer(w, x) / float(x @ x), np.eye(n)[:, 1:] - np.outer(h, h[1:] / abs(h[0]))
+        M2 = np.column_stack([x.real, x.imag])
+        s2 = np.linalg.svd(M2, compute_uv=False)
+        if s2[-1] <= 1e-8 * s2[0]:
+            continue
+        F0 = np.column_stack([w.real, w.imag]) @ np.linalg.pinv(M2)
+        return F0, np.linalg.qr(M2, mode="complete")[0][:, 2:]
+    raise AssertionError("no candidate")
+
+
+class TestStageRule:
+    """Stage blocks have an input of full row rank, and each pole is placed
+    from the least-norm input of its null directions."""
+
+    @pytest.mark.parametrize("extra", [0, 1, 3], ids=["square", "wide1", "wide3"])
+    @pytest.mark.parametrize("mu", [-1.5, -0.5 + 2.0j], ids=["real", "complex"])
+    def test_matches_two_svd_rule(self, extra, mu):
+        rng = np.random.default_rng((80, extra, int(np.iscomplex(mu))))
+        for r in range(2 if np.iscomplex(mu) else 1, 8):
+            D = rng.standard_normal((r, r))
+            B1 = rng.standard_normal((r, r + extra))
+            F0, U = gains._insert_invariant_block(D, B1, complex(mu), gains._least_norm_directions)
+            F0_ref, U_ref = two_svd_insert(D, B1, complex(mu))
+            assert np.linalg.norm(F0 - F0_ref) <= 1e-10 * np.linalg.norm(F0_ref)
+            assert_allclose(U @ U.T, U_ref @ U_ref.T, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("smallest", [
+        1e-2,
+        pytest.param(1e-6, marks=pytest.mark.xfail(
+            strict=True, reason="the solve with B B.T squares the conditioning of a deflated "
+            "input: eigenvalues move by up to 8e-3, against 3e-10 from the pencil")),
+    ])
+    def test_graded_input(self, smallest):
+        # a stage input with orthogonal rows of norms 1 .. smallest; its
+        # deflations lose the orthogonality
+        rng = np.random.default_rng(83)
+        items = [complex(-1.0 - 0.3 * j) for j in range(8)]
+        for _ in range(20):
+            D = rng.standard_normal((8, 8))
+            V = np.linalg.qr(rng.standard_normal((8, 8)))[0]
+            B1 = np.geomspace(1.0, smallest, 8)[:, None] * V.T
+            F = gains._place_feedback(D, B1, items, gains._least_norm_directions)
+            assert_multiset_close(eigenvalues(D + B1 @ F), items, tol=1e-7)
+
+    @pytest.mark.parametrize("r, c", [(1, 1), (4, 4), (5, 7)])
+    def test_one_small_svd_per_pole(self, monkeypatch, r, c):
+        rng = np.random.default_rng((81, r, c))
+        H = rng.standard_normal((r + 2, r + 2))
+        B1 = rng.standard_normal((r, c))
+        K2 = rng.standard_normal((r, 2))
+        items = [complex(-1.0 - 0.5 * j) for j in range(r)]
+        widths = []
+        svd = np.linalg.svd
+
+        def counted(M, *args, **kwargs):
+            widths.append(np.shape(M)[1])
+            return svd(M, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        F = gains._stage_gain(H, B1, K2, items)
+        monkeypatch.undo()
+        # one SVD of the r_k x r_k least-norm map per pole, never one of the
+        # r_k x (r_k + c) pencil
+        assert widths == list(range(r, 0, -1))
+        Hcl = H.copy()
+        Hcl[:r] += B1 @ F
+        lower = H[r:, r:] + H[r:, :r] @ K2
+        assert_multiset_close(eigenvalues(Hcl), [*items, *eigenvalues(lower)], tol=1e-8)
+
+    def test_base_case_takes_any_input(self, monkeypatch):
+        # the first stage has three slots and only pairs to fill them, so the
+        # pair is placed whole; its input has rank 1 in three columns, so a
+        # deflation leaves a wide B with B B.T singular
+        rng = np.random.default_rng(82)
+        A = rng.standard_normal((4, 4))
+        b = rng.standard_normal((4, 1))
+        b[3] = 0.0
+        B = b @ np.ones((1, 3))
+        poles = [-1 + 1j, -1 - 1j, -2 + 0.5j, -2 - 0.5j]
+        seen = []
+        place = gains._place_feedback
+
+        def recorded(A, B, items, directions):
+            seen.append((B.shape, np.linalg.matrix_rank(B), directions))
+            return place(A, B, items, directions)
+
+        monkeypatch.setattr(gains, "_place_feedback", recorded)
+        F = gains._stage_feedback(A, B, (3, 1), np.array(poles))
+        assert ((2, 3), 1, gains._pencil_directions) in seen
+        assert all(rule is gains._pencil_directions for *_, rule in seen)
+        assert char_coeff_relerr(A + B @ F, poles) <= 1e-10
 
 
 class TestStabilizingGain:

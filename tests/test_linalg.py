@@ -8,7 +8,7 @@ from sylvobs import (
     rank_tol,
     spectral_abscissa,
 )
-from sylvobs.linalg import as_matrix
+from sylvobs.linalg import _canonical_signs, as_matrix
 from tests.conftest import assert_multiset_close
 
 
@@ -162,3 +162,40 @@ class TestOutputNormalizingTransform:
             assert_allclose(N.T @ N, np.eye(n - p), atol=1e-12)
             assert np.linalg.norm(C @ N) <= 1e-12 * (1.0 + np.linalg.norm(C))
 
+
+
+def canonical_signs_loop(Q):
+    """The column-by-column form of ``_canonical_signs``."""
+    Q = np.array(Q)
+    for j in range(Q.shape[1]):
+        col = Q[:, j]
+        if col.size and col[np.argmax(np.abs(col))] < 0:
+            Q[:, j] = -col
+    return Q
+
+
+class TestCanonicalSigns:
+    @pytest.mark.parametrize(
+        "Q",
+        [
+            np.random.default_rng(4).standard_normal((7, 5)),
+            np.random.default_rng(5).standard_normal((3, 8)),
+            # ties in magnitude: the first maximum decides
+            np.array([[1.0, -2.0, 2.0], [-1.0, 2.0, -2.0], [0.5, 0.0, 1.0]]),
+            # zero columns, signed zeros included, are left as they are
+            np.array([[0.0, -0.0, 3.0], [0.0, -0.0, -4.0]]),
+            np.zeros((0, 3)),
+            np.zeros((4, 0)),
+        ],
+        ids=["random", "wide", "ties", "zero-columns", "no-rows", "no-columns"],
+    )
+    def test_matches_column_loop(self, Q):
+        got = _canonical_signs(Q)
+        expected = canonical_signs_loop(Q)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_input_not_mutated(self):
+        Q = np.array([[-1.0, 2.0], [0.5, -3.0]])
+        _canonical_signs(Q)
+        assert_allclose(Q, [[-1.0, 2.0], [0.5, -3.0]])

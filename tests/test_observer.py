@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,23 @@ class TestSynthesis:
             Plant(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
         with pytest.raises(ValueError, match="full row rank"):
             Plant(np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("name, shape, expected", [
+        ("F", (2, 3), (2, 2)),
+        ("G", (1, 1), (2, 1)),
+        ("P", (1, 1), (2, 1)),
+        ("T", (2, 2), (2, 3)),
+        ("W", (2, 3), (3, 3)),
+    ], ids=["F", "G", "P", "T", "W"])
+    def test_observer_shapes_checked_when_built(self, name, shape, expected):
+        # an order-2 observer of a 3-state plant with one output and one input
+        good = dict(F=-np.eye(2), G=np.ones((2, 1)), P=np.ones((2, 1)), T=np.ones((2, 3)),
+                    W=np.eye(3))
+        assert ReducedObserver(**good).n == 3
+        with pytest.raises(ValueError, match=re.escape(f"observer {name} must have shape {expected}")):
+            ReducedObserver(**{**good, name: np.ones(shape)})
+        with pytest.raises(ValueError, match="2-D"):
+            ReducedObserver(**{**good, name: np.ones(3)})
 
 
 class TestEstimation:

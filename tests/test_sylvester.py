@@ -170,6 +170,20 @@ class TestOrder64:
             assert sol.report.F_spectral_abscissa < 0.0
 
 
+class TestOrder256:
+    def test_probe_draw_well_inside_gate(self):
+        # every stage of the staircase is as wide as the output, so every
+        # pole of the observer is placed on a stage block
+        rng = np.random.default_rng((5, 256, 64, 0))
+        A = rng.standard_normal((256, 256))
+        C = rng.standard_normal((64, 256))
+        assert obs_decompose(A, C).stages == (64, 64, 64, 64)
+        sol = solve_constrained_sylvester(A, C)
+        gate = DEFAULTS.residual_rtol * (1.0 + np.linalg.norm(A))
+        assert sol.report.residual_norm <= 0.1 * gate
+        assert sol.report.F_spectral_abscissa < 0.0
+
+
 class TestVerifyReport:
     def test_zero_T_flagged(self):
         rep = verify_solution(A_CHAIN, C_CHAIN, np.zeros((1, 2)), [[-1.0]], [[0.0]])
