@@ -23,13 +23,15 @@ rule.  The per-pole rule inserts one real eigenvalue, or one
 complex-conjugate pair as a real 2x2 block, as an invariant subspace of
 the closed loop, deflates it with a Householder similarity and recurses
 on the remainder.  It finds each pole's null direction from the
-least-norm input on a stage block, whose input has full row rank, and
-from an SVD of the whole pencil in the base case: from the first stage
-that cannot take a conjugate-closed share (odd r_i and no real target
-left, e.g. one output and complex targets) down, the rest of the pair is
-placed pole by pole whole.  Gains stay real throughout; repeated poles (single-
-or multi-output) are supported.  For p > 1 the gain is not unique; the
-result is deterministic but only the spectrum is contracted.
+least-norm input on a stage block, whose input has full row rank, if
+that input's condition number is at most 1e2; and from an SVD of the
+whole pencil on a more graded stage block and in the base case: from the
+first stage that cannot take a conjugate-closed share (odd r_i and no
+real target left, e.g. one output and complex targets) down, the rest of
+the pair is placed pole by pole whole.  Gains stay real throughout;
+repeated poles (single- or multi-output) are supported.  For p > 1 the
+gain is not unique; the result is deterministic but only the spectrum is
+contracted.
 """
 
 import itertools
@@ -47,6 +49,9 @@ _REAL_SNAP = 1e-9
 _PAIR_TOL = 1e-9
 # defensive gate on achieved characteristic coefficients (relative)
 _COEFF_GATE = 1e-4
+# largest condition number of a stage input whose poles are placed from
+# least-norm inputs: their normal equations square it, to at most 1e4
+_LEAST_NORM_COND = 1e2
 
 
 def default_stable_poles(k):
@@ -101,7 +106,8 @@ def _least_norm_directions(S, B):
     ``(x_j, -P x_j)``, ``x_j = v_j / sqrt(1 + s_j^2)`` over the right
     singular vectors of P in ascending s: one solve and one SVD of order r.
     ``B B.T`` is diagonal for a stage block, whose rows are orthogonal, but
-    not for its deflations, whose conditioning it squares."""
+    not for its deflations: it squares their condition number, which is
+    at most that of the stage block."""
     P = B.T @ np.linalg.solve(B @ B.T, S)
     _, s, Vh = np.linalg.svd(P, full_matrices=False)
     X = Vh[::-1].conj().T / np.sqrt(1.0 + s[::-1] ** 2)
@@ -116,10 +122,12 @@ def _insert_invariant_block(A, B, mu, directions):
     or the pair ``mu, conj(mu)`` (n - 2 columns, mu.imag > 0).  Derived from
     a null vector [x; w] of [A - mu*I, B]: then A x + B w = mu x, and any
     real F0 with F0 x = w makes x (or span{Re x, Im x}) invariant.  The
-    caller names the rule ``directions``; its columns for ``A - mu*I`` are
-    the candidates, then for a pair ``(x_j + i x_k) / sqrt(2)``.  U is the
-    rest of one Householder reflector for a real x, and of a complete QR of
-    [Re x, Im x] for a pair.
+    caller names the rule ``directions`` (``_least_norm_directions`` on a
+    stage block whose input is not graded, ``_pencil_directions`` on any
+    other pair); its columns for ``A - mu*I`` are the candidates, then for
+    a pair ``(x_j + i x_k) / sqrt(2)``.  U is the rest of one Householder
+    reflector for a real x, and of a complete QR of [Re x, Im x] for a
+    pair.
     """
     n = A.shape[0]
     X, W = directions(A - (mu.real if mu.imag == 0.0 else mu) * np.eye(n), B)
@@ -249,17 +257,23 @@ def _stage_gain(H, B1, K2, items):
     ``B1 F = D1 Z + E`` makes the closed loop similar to
     ``[[D1, 0], [H[r:, :r], H[r:, r:] + H[r:, :r] K2]]``.
     ``D1* = -E Z+`` minimises ``||D1 Z + E||``, and ``D1 = D1* + B1 G``
-    takes the stage's poles by the per-pole rule on ``(D1*, B1)``, by
-    least-norm inputs; F is the least-norm solution.  Both solves are of
-    order r.  The rows of B1 are orthogonal up to round-off (the staircase
-    takes every block from an SVD), so ``B1 B1.T`` is diagonal up to
-    round-off and its normal equations do not square the conditioning of
-    B1."""
+    takes the stage's poles by the per-pole rule on ``(D1*, B1)``; F is the
+    least-norm solution.  Both solves are of order r.  The rows of B1 are
+    orthogonal up to round-off (the staircase takes every block from an
+    SVD), so ``B1 B1.T`` is diagonal up to round-off and its normal
+    equations do not square the conditioning of B1.  So the ratio of its
+    row norms is its condition number, which bounds its deflations': up to
+    ``_LEAST_NORM_COND`` the poles are placed from least-norm inputs, and
+    beyond it, where their normal equations would lose more than four
+    digits, from the pencil."""
     r = B1.shape[0]
     E = K2 @ H[r:] - H[:r]
     EZt = E[:, :r] - E[:, r:] @ K2.T
     D = -np.linalg.solve(np.eye(r) + K2 @ K2.T, EZt.T).T
-    D += B1 @ _place_feedback(D, B1, items, _least_norm_directions)
+    norms = np.linalg.norm(B1, axis=1)
+    graded = norms.max() > _LEAST_NORM_COND * norms.min()
+    directions = _pencil_directions if graded else _least_norm_directions
+    D += B1 @ _place_feedback(D, B1, items, directions)
     E[:, :r] += D
     E[:, r:] -= D @ K2
     return B1.T @ np.linalg.solve(B1 @ B1.T, E)

@@ -255,23 +255,52 @@ class TestStageRule:
             assert np.linalg.norm(F0 - F0_ref) <= 1e-10 * np.linalg.norm(F0_ref)
             assert_allclose(U @ U.T, U_ref @ U_ref.T, rtol=0.0, atol=1e-10)
 
-    @pytest.mark.parametrize("smallest", [
-        1e-2,
-        pytest.param(1e-6, marks=pytest.mark.xfail(
-            strict=True, reason="the solve with B B.T squares the conditioning of a deflated "
-            "input: eigenvalues move by up to 8e-3, against 3e-10 from the pencil")),
-    ])
+    @pytest.mark.parametrize("smallest", [1e-2, 1e-6, 1e-10])
     def test_graded_input(self, smallest):
         # a stage input with orthogonal rows of norms 1 .. smallest; its
-        # deflations lose the orthogonality
+        # deflations lose the orthogonality, and the solve with B B.T would
+        # square their conditioning
         rng = np.random.default_rng(83)
         items = [complex(-1.0 - 0.3 * j) for j in range(8)]
         for _ in range(20):
             D = rng.standard_normal((8, 8))
             V = np.linalg.qr(rng.standard_normal((8, 8)))[0]
             B1 = np.geomspace(1.0, smallest, 8)[:, None] * V.T
-            F = gains._place_feedback(D, B1, items, gains._least_norm_directions)
+            F = gains._stage_gain(D, B1, np.zeros((8, 0)), items)
             assert_multiset_close(eigenvalues(D + B1 @ F), items, tol=1e-7)
+
+    @pytest.mark.parametrize("spread, rule", [
+        (0.99e2, gains._least_norm_directions),
+        (1.01e2, gains._pencil_directions),
+    ], ids=["least-norm", "pencil"])
+    def test_rule_follows_input_conditioning(self, monkeypatch, spread, rule):
+        rng = np.random.default_rng(84)
+        D = rng.standard_normal((4, 4))
+        V = np.linalg.qr(rng.standard_normal((5, 4)))[0]
+        B1 = np.geomspace(1.0, 1.0 / spread, 4)[:, None] * V.T
+        items = [complex(-1.0 - 0.5 * j) for j in range(4)]
+        seen = []
+        place = gains._place_feedback
+
+        def recorded(A, B, items, directions):
+            seen.append(directions)
+            return place(A, B, items, directions)
+
+        monkeypatch.setattr(gains, "_place_feedback", recorded)
+        F = gains._stage_gain(D, B1, np.zeros((4, 0)), items)
+        assert seen and all(d is rule for d in seen)
+        assert_multiset_close(eigenvalues(D + B1 @ F), items, tol=1e-8)
+
+    def test_graded_outputs(self):
+        # output rows of norms 1 .. 1e-6 give the first stage, and the
+        # stages after it, graded inputs
+        rng = np.random.default_rng(85)
+        poles = default_stable_poles(16)
+        for _ in range(10):
+            A = rng.standard_normal((16, 16))
+            C = np.geomspace(1.0, 1e-6, 6)[:, None] * rng.standard_normal((6, 16))
+            K = place_poles(A, C, poles)
+            assert_multiset_close(eigenvalues(A + K @ C), poles, tol=1e-5)
 
     @pytest.mark.parametrize("r, c", [(1, 1), (4, 4), (5, 7)])
     def test_one_small_svd_per_pole(self, monkeypatch, r, c):

@@ -144,6 +144,18 @@ class TestScale:
         sol = solve_constrained_sylvester(A, C)
         assert sol.report.F_spectral_abscissa < 0.0
 
+    def test_graded_output_rows(self):
+        # rows of C of norms 1 .. 1e-6: the solve works with the orthonormal
+        # rows Q of C = U diag(s) Q, so the grading reaches no stage input
+        rng = np.random.default_rng(86)
+        for _ in range(5):
+            A = rng.standard_normal((16, 16))
+            C = np.geomspace(1.0, 1e-6, 6)[:, None] * rng.standard_normal((6, 16))
+            sol = solve_constrained_sylvester(A, C)
+            gate = DEFAULTS.residual_rtol * (1.0 + np.linalg.norm(A))
+            assert sol.report.residual_norm <= 0.1 * gate
+            assert sol.report.F_spectral_abscissa < 0.0
+
     def test_one_cutoff_decides_verdict_and_placement(self):
         # the coupling 1e-4 is round-off at the scale of A: the verdict calls
         # -3 hidden and stable, so placement must leave it where it is
