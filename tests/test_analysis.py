@@ -69,6 +69,21 @@ class TestPBH:
             check_detectability(np.eye(2), np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("fn", [check_detectability, obs_decompose])
+@pytest.mark.parametrize(
+    "A, C, message",
+    [
+        (np.eye(2), np.ones((1, 3)), r"^C must have 2 columns to match A, got 3$"),
+        (np.ones((2, 3)), np.ones((1, 3)), r"^A must be square, got shape \(2, 3\)$"),
+        (np.eye(2), np.zeros((2, 2)), r"^C must be nonzero$"),
+    ],
+    ids=["columns", "square", "nonzero"],
+)
+def test_invalid_pair_rejected(fn, A, C, message):
+    with pytest.raises(ValueError, match=message):
+        fn(A, C)
+
+
 class TestDetectability:
     def test_unstable_unobservable(self):
         verdict = check_detectability(np.eye(2), [[1.0, 0.0]])

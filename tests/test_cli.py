@@ -93,6 +93,29 @@ class TestMatrixFiles:
         with pytest.raises(ValueError, match="'C': entries must be finite"):
             load_matrices(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"C": [1.0, 2.0]}', r"^matrix 'C': expected an object, got list$"),
+            ('{"C": {"rows": -1, "cols": 0, "data": []}}',
+             r"^matrix 'C': rows/cols must be non-negative integers$"),
+            ("[1.0, 2.0]", r": top level must be a JSON object$"),
+            ('{"C": {"rows": 1, "cols": 1, "data": [1e400]}}', r"^matrix 'C': entries must be finite$"),
+            ('{"C": {"rows": 1, "cols": 1, "data": [NaN]}}', r"^matrix 'C': entries must be finite$"),
+            (None, r"^matrix 'X': must be 1-D or 2-D$"),
+        ],
+        ids=["entry-not-object", "negative-rows", "top-level-not-object", "float-overflow",
+             "nan", "save-3d"],
+    )
+    def test_schema_violation_named(self, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        with pytest.raises(ValueError, match=message):
+            if text is None:
+                save_matrices(path, {"X": np.zeros((2, 2, 2))})
+            else:
+                path.write_text(text)
+                load_matrices(path)
+
     def test_check_refuses_non_number_entries(self, tmp_path, capsys):
         path = tmp_path / "system.json"
         path.write_text(

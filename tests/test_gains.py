@@ -72,6 +72,28 @@ class TestPlacePoles:
         with pytest.raises(ValueError, match="conjugation"):
             place_poles(A, [[1.0, 0.0]], [-1 + 1j, -2.0])
 
+    def test_complex_pair_fallback(self, monkeypatch):
+        # a symmetric stage block with an orthogonal input gives both single
+        # candidates parallel real and imaginary parts, so the pair is placed
+        # from the combination of the two
+        drawn = []
+        combinations = itertools.combinations
+
+        def recorded(*args):
+            for jk in combinations(*args):
+                drawn.append(jk)
+                yield jk
+
+        monkeypatch.setattr(itertools, "combinations", recorded)
+        A = np.diag([1.0, 2.0])
+        poles = [-1 + 1j, -1 - 1j]
+        K = place_poles(A, np.eye(2), poles)
+        monkeypatch.undo()
+        # combinations are drawn only once every single candidate is passed
+        # over, and the first one drawn was taken
+        assert drawn == [(0, 1)]
+        assert_multiset_close(eigenvalues(A + K), poles, tol=1e-10)
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="poles"):
             place_poles([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]], [-1.0])
@@ -125,6 +147,47 @@ class TestPlacePoles:
                  -0.5 + 3j, -0.5 - 3j, -3 + 2j, -3 - 2j]
         K = place_poles(A, C, poles)
         assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: place_poles(np.eye(2), np.ones((1, 3)), [-1.0, -2.0]),
+         r"^Co must have 2 columns, got 3$"),
+        (lambda: stabilizing_gain(np.eye(2), np.ones((1, 3))),
+         r"^Co must have 2 columns, got 3$"),
+        (lambda: place_poles([[0.0]], [[1.0]], ["a"]), r"^poles must be numbers: "),
+        (lambda: stabilizing_gain([[1.0]], [[1.0]], [object()]), r"^poles must be numbers: "),
+        (lambda: place_poles([[0.0]], [[1.0]], [np.nan]), r"^poles must be finite$"),
+        (lambda: stabilizing_gain([[1.0]], [[1.0]], [-np.inf]), r"^poles must be finite$"),
+    ],
+    ids=["place-columns", "stabilize-columns", "place-text", "stabilize-object",
+         "place-nan", "stabilize-inf"],
+)
+def test_invalid_input_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+class TestGates:
+    """Each gate of the placement raises its own error."""
+
+    def test_coefficient_gate(self):
+        # s^2 + 3 s + 2 against the target s^2 + 4 s + 3: error 1 / 4
+        with pytest.raises(
+            np.linalg.LinAlgError,
+            match=r"^eigenvalue assignment failed verification \(coefficient error 2\.50e-01\)$",
+        ):
+            gains._verify_assignment(np.diag([-1.0, -2.0]), np.array([-1.0, -3.0]))
+
+    def test_stabilization_gate(self, monkeypatch):
+        # a zero gain on the observable block leaves A's unstable mode in place
+        monkeypatch.setattr(
+            gains, "_place_output_injection",
+            lambda dec, *args: np.zeros((dec.no, dec.C1.shape[0])),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="^stabilization failed verification$"):
+            stabilizing_gain([[1.0, 1.0], [0.0, -1.0]], [[1.0, 0.0]])
 
 
 def ackermann_gain(A, C, poles):

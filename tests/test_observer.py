@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import sylvobs
-from sylvobs import analysis
+from sylvobs import analysis, observer
 from sylvobs import (
     Plant,
     ReducedObserver,
@@ -172,6 +172,24 @@ class TestSynthesis:
             Plant(np.eye(2), np.ones((3, 1)), np.ones((1, 2)))
         with pytest.raises(ValueError, match="full row rank"):
             Plant(np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize(
+        "make", [Plant, lambda *abc: synthesize_observer(abc)], ids=["plant", "synthesize"]
+    )
+    def test_column_mismatch_rejected(self, make):
+        with pytest.raises(ValueError, match=r"^C must have 2 columns, got 3$"):
+            make(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
+
+    def test_recombination_gate(self, monkeypatch):
+        # a solve whose K does not belong to its T gives a W that does not
+        # invert [C; T]
+        solve = observer.solve_constrained_sylvester
+        monkeypatch.setattr(
+            observer, "solve_constrained_sylvester",
+            lambda *args: dataclasses.replace(solve(*args), K=solve(*args).K + 1.0),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="^recombination matrix failed verification$"):
+            synthesize_observer(worked_plant(), [-1.0])
 
     @pytest.mark.parametrize("name, shape, expected", [
         ("F", (2, 3), (2, 2)),

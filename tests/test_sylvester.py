@@ -86,6 +86,28 @@ class TestErrors:
             solve_constrained_sylvester(A_CHAIN, C_CHAIN, [-1.0, -2.0])
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_constrained_sylvester(np.eye(2), np.ones((1, 3))),
+         r"^C must have 2 columns to match A, got 3$"),
+        (lambda: partition_by_output(np.eye(2), np.ones((1, 3))),
+         r"^C must have 2 columns to match A, got 3$"),
+        (lambda: solve_constrained_sylvester(np.eye(2), np.eye(3)[:, :2]),
+         r"^C must have at most 2 rows, got 3$"),
+        (lambda: verify_solution(A_CHAIN, np.ones((1, 3)), [[1.0, 0.0]], [[-1.0]], [[1.0]]),
+         r"^C and T must have as many columns as A$"),
+        (lambda: verify_solution(A_CHAIN, C_CHAIN, [[1.0, 0.0, 0.0]], [[-1.0]], [[1.0]]),
+         r"^C and T must have as many columns as A$"),
+    ],
+    ids=["solve-columns", "partition-columns", "solve-rows", "verify-C-columns",
+         "verify-T-columns"],
+)
+def test_invalid_system_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestDegenerate:
     def test_full_measurement(self):
         A = np.diag([-1.0, 2.0])
