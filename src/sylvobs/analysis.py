@@ -29,10 +29,9 @@ import numpy as np
 from .linalg import (
     DEFAULTS,
     _EPS,
+    _as_pair,
     _canonical_signs,
     _output_basis,
-    as_matrix,
-    as_square,
     eigenvalues,
 )
 
@@ -110,12 +109,7 @@ class ObsDecomposition:
 
 
 def _validated_pair(A, C):
-    A = as_square(A, "A")
-    C = as_matrix(C, "C")
-    if C.shape[1] != A.shape[0]:
-        raise ValueError(
-            f"C must have {A.shape[0]} columns to match A, got {C.shape[1]}"
-        )
+    A, C = _as_pair(A, C)
     if not np.any(C):
         raise ValueError("C must be nonzero")
     return A, C

@@ -8,7 +8,11 @@ of them that is not stable makes the pair undetectable.  The placement is
 the private ``_staircase_gain``, which takes a decomposition already
 computed: ``stabilizing_gain`` calls it after its own, and the Sylvester
 solve after the staircase that gave its verdict, so poles are placed on
-exactly the block the verdict called observable.
+exactly the block the verdict called observable.  Its gain is checked
+twice: the achieved characteristic coefficients against the targets'
+here, and the stability of the closed loop by its caller (the placement
+gate): ``stabilizing_gain`` on ``A + K @ C``, the solve on the F of its
+verification report, so F's spectrum is computed once.
 
 The assignment works on the dual state-feedback problem ``(A11.T, C1.T)``
 of that staircase, which is block upper Hessenberg on the staircase's
@@ -39,7 +43,7 @@ import itertools
 import numpy as np
 
 from .analysis import _decompose, _undetectable, _unstable_hidden_modes
-from .linalg import _rank_cutoff, as_matrix, as_square, eigenvalues, spectral_abscissa
+from .linalg import _as_pair, _rank_cutoff, eigenvalues, spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
 
@@ -72,18 +76,6 @@ def _as_pole_array(values, name="poles"):
         raise ValueError(f"{name} must be finite")
     snap = np.abs(vals.imag) <= _REAL_SNAP * (1.0 + np.abs(vals.real))
     return np.where(snap, vals.real + 0j, vals)
-
-
-def _check_conjugate_closed(vals, name="poles"):
-    unmatched = [v for v in vals if v.imag != 0.0]
-    while unmatched:
-        v = unmatched.pop()
-        target = np.conj(v)
-        dists = [abs(target - u) for u in unmatched]
-        tol = _PAIR_TOL * (1.0 + abs(v))
-        if not dists or min(dists) > tol:
-            raise ValueError(f"{name} must be closed under conjugation; {v} is unmatched")
-        unmatched.pop(int(np.argmin(dists)))
 
 
 def _pencil_directions(S, B):
@@ -159,19 +151,32 @@ def _insert_invariant_block(A, B, mu, directions):
     raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: degenerate null space")
 
 
-def _placement_order(poles):
-    """``poles`` as placement items: each real pole, and the +imag member of
-    each conjugate pair, once, in descending (real, imag) order.  A complex
-    pole takes the nearest conjugate of itself out of the rest as its
-    partner."""
-    rest = list(poles[np.lexsort((-poles.imag, -poles.real))])
+def _placement_order(poles, name="poles"):
+    """``poles`` as placement items: each real pole, and each conjugate pair
+    once, in descending (real, imag) order.
+
+    The complex poles are paired from the last: each takes the nearest
+    conjugate of itself among the complex poles left as its partner, and
+    none within ``_PAIR_TOL * (1 + |pole|)`` is a ``ValueError`` naming
+    ``name``.  A pair's item is its member that comes first in that order,
+    with a positive imaginary part."""
+    unmatched = [j for j, v in enumerate(poles) if v.imag != 0.0]
+    partner = {}
+    while unmatched:
+        j = unmatched.pop()
+        dists = [abs(np.conj(poles[j]) - poles[k]) for k in unmatched]
+        if not dists or min(dists) > _PAIR_TOL * (1.0 + abs(poles[j])):
+            raise ValueError(f"{name} must be closed under conjugation; {poles[j]} is unmatched")
+        k = unmatched.pop(int(np.argmin(dists)))
+        partner[j], partner[k] = k, j
     items = []
-    while rest:
-        mu = complex(rest.pop(0))
-        if mu.imag != 0.0:
-            mu = complex(mu.real, abs(mu.imag))
-            rest.pop(min(range(len(rest)), key=lambda j: abs(rest[j] - mu.conjugate())))
-        items.append(mu)
+    for j in np.lexsort((-poles.imag, -poles.real)):
+        v = poles[j]
+        if v.imag == 0.0:
+            items.append(complex(v))
+        elif j in partner:
+            del partner[partner.pop(j)]
+            items.append(complex(v.real, abs(v.imag)))
     return items
 
 
@@ -213,21 +218,20 @@ def _take_share(items, r):
     return share[:j] + share[j + 1:] + passed[:1], [share[j], *passed[1:]]
 
 
-def _stage_feedback(H, B, stages, poles):
-    """Real F with the spectrum of ``H + B @ F`` equal to ``poles``, for a
-    pair in the staircase form of ``ObsDecomposition``: H block upper
-    Hessenberg with diagonal blocks of sizes ``stages``, and B zero below
-    its first ``stages[0]`` rows.
+def _stage_feedback(H, B, stages, items):
+    """Real F with the spectrum of ``H + B @ F`` equal to the placement
+    ``items`` (``_placement_order``), for a pair in the staircase form of
+    ``ObsDecomposition``: H block upper Hessenberg with diagonal blocks of
+    sizes ``stages``, and B zero below its first ``stages[0]`` rows.
 
     Stage i sees the pair from its block down, fed through the block to its
     left (through B for the first).  Stages take conjugate-closed shares of
-    the poles in placement order, the first stage the slowest; from the
-    first stage that cannot (odd size, no real pole left) down, the pair is
-    placed whole by ``_place_feedback``.  The stages above it are placed
-    from the last up by ``_stage_gain``, each on its own block given the
-    gain of the stages below.
+    the items in order, the first stage the slowest; from the first stage
+    that cannot (odd size, no real pole left) down, the pair is placed
+    whole by ``_place_feedback``.  The stages above it are placed from the
+    last up by ``_stage_gain``, each on its own block given the gain of the
+    stages below.
     """
-    items = _placement_order(poles)
     shares = []
     for r in stages:
         share, rest = _take_share(items, r)
@@ -311,25 +315,23 @@ def place_poles(Ao, Co, desired, tol=0.0):
     ValueError
         Unobservable pair, length mismatch, or targets not conjugate-closed.
     """
-    A = as_square(Ao, "Ao")
-    C = as_matrix(Co, "Co")
+    A, C = _as_pair(Ao, Co, ("Ao", "Co"))
     n = A.shape[0]
-    if C.shape[1] != n:
-        raise ValueError(f"Co must have {n} columns, got {C.shape[1]}")
     poles = _as_pole_array(desired)
     if poles.size != n:
         raise ValueError(f"desired must list {n} poles, got {poles.size}")
-    _check_conjugate_closed(poles, "desired")
+    items = _placement_order(poles, "desired")
     dec = _decompose(A, C, tol)
     if dec.no < n:
         raise ValueError("pair is not observable; exact eigenvalue assignment impossible")
-    return dec.Tsim @ _place_output_injection(dec, poles)
+    return dec.Tsim @ _place_output_injection(dec, poles, items)
 
 
-def _place_output_injection(dec, poles):
-    """Gain K1 placing ``poles`` as the spectrum of ``A11 + K1 C1``: the
-    dual state feedback on the staircase, transposed back and verified."""
-    K = _stage_feedback(dec.A11.T, dec.C1.T, dec.stages, poles).T
+def _place_output_injection(dec, poles, items):
+    """Gain K1 placing ``poles``, in placement order ``items``, as the
+    spectrum of ``A11 + K1 C1``: the dual state feedback on the staircase,
+    transposed back and verified."""
+    K = _stage_feedback(dec.A11.T, dec.C1.T, dec.stages, items).T
     _verify_assignment(dec.A11 + K @ dec.C1, poles)
     return K
 
@@ -354,21 +356,21 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0):
         When an eigenvalue of the unobservable block is not stable
         (``Re >= -DEFAULTS.stability``); ``offending`` lists those values.
     """
-    A = as_square(Ao, "Ao")
-    C = as_matrix(Co, "Co")
-    if C.shape[1] != A.shape[0]:
-        raise ValueError(f"Co must have {A.shape[0]} columns, got {C.shape[1]}")
+    A, C = _as_pair(Ao, Co, ("Ao", "Co"))
     dec = _decompose(A, C, tol)
     offending = _unstable_hidden_modes(eigenvalues(dec.A22))
     if offending:
         raise _undetectable(offending)
-    return _staircase_gain(A, C, dec, desired)
+    K = _staircase_gain(A, C, dec, desired)
+    if spectral_abscissa(A + K @ C) >= 0.0:
+        raise np.linalg.LinAlgError("stabilization failed verification")
+    return K
 
 
 def _staircase_gain(A, C, dec, desired):
     """``stabilizing_gain`` of a validated pair whose staircase ``dec`` has
-    no unstable unobservable mode."""
-    n = A.shape[0]
+    no unstable unobservable mode, before its placement gate: the caller
+    checks that ``A + K @ C`` is stable."""
     if desired is None:
         poles = default_stable_poles(dec.no)
     else:
@@ -379,12 +381,7 @@ def _staircase_gain(A, C, dec, desired):
             raise ValueError(
                 f"desired must list {dec.no} poles for the observable block, got {poles.size}"
             )
-        _check_conjugate_closed(poles, "desired")
+    items = _placement_order(poles, "desired")
     if dec.no == 0:
-        K = np.zeros((n, C.shape[0]))
-    else:
-        K = dec.Tsim[:, : dec.no] @ _place_output_injection(dec, poles)
-
-    if spectral_abscissa(A + K @ C) >= 0.0:
-        raise np.linalg.LinAlgError("stabilization failed verification")
-    return K
+        return np.zeros((A.shape[0], C.shape[0]))
+    return dec.Tsim[:, : dec.no] @ _place_output_injection(dec, poles, items)

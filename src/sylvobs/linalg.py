@@ -114,6 +114,17 @@ def as_square(M, name="matrix", allow_empty=False):
     return A
 
 
+def _as_pair(A, C, names=("A", "C")):
+    """Validated ``(A, C)``: A square and C with as many columns; ``names``
+    are the caller's names for the two in its errors."""
+    a, c = names
+    A = as_square(A, a)
+    C = as_matrix(C, c)
+    if C.shape[1] != A.shape[0]:
+        raise ValueError(f"{c} must have {A.shape[0]} columns to match {a}, got {C.shape[1]}")
+    return A, C
+
+
 def _rank_cutoff(shape, svals, tol):
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, rank_tol
+from .linalg import _as_pair, as_matrix, as_vector, rank_tol
 from .sylvester import SolveReport, solve_constrained_sylvester
 
 __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
@@ -28,16 +28,10 @@ class Plant:
     C: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
+        A, C = _as_pair(self.A, self.C)
         B = as_matrix(self.B, "B")
-        C = as_matrix(self.C, "C")
-        if A.shape[0] != A.shape[1]:
-            raise ValueError(f"A must be square, got {A.shape}")
-        n = A.shape[0]
-        if B.shape[0] != n:
-            raise ValueError(f"B must have {n} rows, got {B.shape[0]}")
-        if C.shape[1] != n:
-            raise ValueError(f"C must have {n} columns, got {C.shape[1]}")
+        if B.shape[0] != A.shape[0]:
+            raise ValueError(f"B must have {A.shape[0]} rows, got {B.shape[0]}")
         if rank_tol(C) < C.shape[0]:
             raise ValueError("C must have full row rank")
         for name, M in (("A", A), ("B", B), ("C", C)):

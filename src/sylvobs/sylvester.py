@@ -20,7 +20,10 @@ the observability split every verdict of the package uses (``analysis``):
    ``F = N.T A N + Kq Q A N`` Hurwitz stable;
 3. assemble ``T = Kq Q + N.T`` and G; with ``K = Kq diag(1/s) U.T``,
    ``[C; T] = [[I, 0], [K, I]] @ inv(L)``;
-4. verify (T, F, G); the report is returned with the solution.
+4. verify (T, F, G): a spectral abscissa of F >= 0 in the report is the
+   placement gate ("stabilization failed verification", as in
+   ``stabilizing_gain``), then the residual, ``[C; T]`` and rank gates; the
+   report is returned with the solution.
 
 ``verify_solution`` recomputes the defining quantities of any candidate
 (T, F, G) independently of how it was produced.
@@ -34,6 +37,7 @@ from .analysis import _obs_split, _undetectable, _unstable_hidden_modes
 from .gains import _staircase_gain
 from .linalg import (
     DEFAULTS,
+    _as_pair,
     _normalizing_transform,
     as_matrix,
     as_square,
@@ -89,13 +93,9 @@ class OutputPartition:
 
 
 def _validated_system(A, C):
-    A = as_square(A, "A")
-    C = as_matrix(C, "C")
-    n = A.shape[0]
-    if C.shape[1] != n:
-        raise ValueError(f"C must have {n} columns to match A, got {C.shape[1]}")
-    if C.shape[0] > n:
-        raise ValueError(f"C must have at most {n} rows, got {C.shape[0]}")
+    A, C = _as_pair(A, C)
+    if C.shape[0] > A.shape[0]:
+        raise ValueError(f"C must have at most {A.shape[0]} rows, got {C.shape[0]}")
     return A, C
 
 
@@ -178,11 +178,12 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
     G = (T @ A @ Q.T - F @ Kq) / s @ U.T
 
     report = verify_solution(A, C, T, F, G, tol)
+    if report.F_spectral_abscissa >= 0.0:
+        raise np.linalg.LinAlgError("stabilization failed verification")
     scale = DEFAULTS.residual_rtol * (1.0 + float(np.linalg.norm(A)))
     ok = (
         report.residual_norm <= scale
         and report.stacked_min_singular_value > DEFAULTS.min_stacked_sv
-        and report.F_spectral_abscissa < 0.0
         and report.T_rank == T.shape[0]
     )
     if not ok:
@@ -200,15 +201,14 @@ def verify_solution(A, C, T, F, G, tol=0.0):
     F (-inf for an empty F), and the numerical row rank of T.  Purely a
     report: nothing is asserted here.
     """
-    A = as_square(A, "A")
-    C = as_matrix(C, "C")
+    A, C = _as_pair(A, C)
     T = as_matrix(T, "T", allow_empty=True)
     F = as_square(F, "F", allow_empty=True)
     G = as_matrix(G, "G", allow_empty=True)
     n = A.shape[0]
     q = T.shape[0]
-    if C.shape[1] != n or T.shape[1] != n:
-        raise ValueError("C and T must have as many columns as A")
+    if T.shape[1] != n:
+        raise ValueError(f"T must have {n} columns to match A, got {T.shape[1]}")
     if F.shape[0] != q or G.shape != (q, C.shape[0]):
         raise ValueError("F and G dimensions must conform with T and C")
 

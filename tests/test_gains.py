@@ -94,6 +94,15 @@ class TestPlacePoles:
         assert drawn == [(0, 1)]
         assert_multiset_close(eigenvalues(A + K), poles, tol=1e-10)
 
+    def test_perturbed_pair_keeps_its_partner(self):
+        # the -imag member sorts first and the real pole is nearer to it than
+        # its conjugate is: the pair must still be its two members
+        A, C = random_observable_pair(np.random.default_rng(26), 3, 1)
+        poles = [-1 + 1e-10 - 1j, -1 + 1j, -1.5]
+        assert gains._placement_order(gains._as_pole_array(poles)) == [-1 + 1e-10 + 1j, -1.5]
+        K = place_poles(A, C, poles)
+        assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="poles"):
             place_poles([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]], [-1.0])
@@ -153,9 +162,9 @@ class TestPlacePoles:
     "call, message",
     [
         (lambda: place_poles(np.eye(2), np.ones((1, 3)), [-1.0, -2.0]),
-         r"^Co must have 2 columns, got 3$"),
+         r"^Co must have 2 columns to match Ao, got 3$"),
         (lambda: stabilizing_gain(np.eye(2), np.ones((1, 3))),
-         r"^Co must have 2 columns, got 3$"),
+         r"^Co must have 2 columns to match Ao, got 3$"),
         (lambda: place_poles([[0.0]], [[1.0]], ["a"]), r"^poles must be numbers: "),
         (lambda: stabilizing_gain([[1.0]], [[1.0]], [object()]), r"^poles must be numbers: "),
         (lambda: place_poles([[0.0]], [[1.0]], [np.nan]), r"^poles must be finite$"),
@@ -408,7 +417,7 @@ class TestStageRule:
             return place(A, B, items, directions)
 
         monkeypatch.setattr(gains, "_place_feedback", recorded)
-        F = gains._stage_feedback(A, B, (3, 1), np.array(poles))
+        F = gains._stage_feedback(A, B, (3, 1), gains._placement_order(np.array(poles)))
         assert ((2, 3), 1, gains._pencil_directions) in seen
         assert all(rule is gains._pencil_directions for *_, rule in seen)
         assert char_coeff_relerr(A + B @ F, poles) <= 1e-10

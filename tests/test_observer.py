@@ -138,9 +138,10 @@ class TestSynthesis:
 
     @pytest.mark.parametrize("n, p, n_hidden", [(7, 2, 0), (9, 4, 2)])
     def test_each_fact_computed_once(self, monkeypatch, n, p, n_hidden):
-        # one SVD of C (besides Plant's rank check), one staircase, and W in
-        # closed form rather than from a linear solve with [C; T] (the pole
-        # placement solves only systems of a stage's size, below n)
+        # one SVD of C (besides Plant's rank check), one staircase, one
+        # spectrum of F, and W in closed form rather than from a linear solve
+        # with [C; T] (the pole placement solves only systems of a stage's
+        # size, below n)
         A, C, _ = random_detectable_pair(np.random.default_rng(42), n, p, n_hidden=n_hidden)
         plant = Plant(A, np.ones((n, 1)), C)
         calls = {"svd_of_C": 0, "staircase": 0, "solve": 0}
@@ -161,9 +162,19 @@ class TestSynthesis:
         monkeypatch.setattr(np.linalg, "solve", counted(np.linalg.solve, "solve", is_stacked))
         # the observability split in analysis is the only caller of _staircase
         monkeypatch.setattr(analysis, "_staircase", counted(analysis._staircase, "staircase"))
+        spectra = []
+        eigvals = np.linalg.eigvals
+
+        def recorded(M):
+            spectra.append(np.array(M))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", recorded)
         obs = synthesize_observer(plant)
+        monkeypatch.undo()
         assert obs.order == n - p
-        assert calls == {"svd_of_C": 1, "staircase": 1, "solve": 0}
+        calls["spectrum_of_F"] = sum(np.array_equal(M, obs.F) for M in spectra)
+        assert calls == {"svd_of_C": 1, "staircase": 1, "solve": 0, "spectrum_of_F": 1}
 
     def test_plant_validation(self):
         with pytest.raises(ValueError, match="square"):
@@ -177,17 +188,19 @@ class TestSynthesis:
         "make", [Plant, lambda *abc: synthesize_observer(abc)], ids=["plant", "synthesize"]
     )
     def test_column_mismatch_rejected(self, make):
-        with pytest.raises(ValueError, match=r"^C must have 2 columns, got 3$"):
+        with pytest.raises(ValueError, match=r"^C must have 2 columns to match A, got 3$"):
             make(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
 
     def test_recombination_gate(self, monkeypatch):
         # a solve whose K does not belong to its T gives a W that does not
         # invert [C; T]
         solve = observer.solve_constrained_sylvester
-        monkeypatch.setattr(
-            observer, "solve_constrained_sylvester",
-            lambda *args: dataclasses.replace(solve(*args), K=solve(*args).K + 1.0),
-        )
+
+        def perturbed(*args):
+            sol = solve(*args)
+            return dataclasses.replace(sol, K=sol.K + 1.0)
+
+        monkeypatch.setattr(observer, "solve_constrained_sylvester", perturbed)
         with pytest.raises(np.linalg.LinAlgError, match="^recombination matrix failed verification$"):
             synthesize_observer(worked_plant(), [-1.0])
 

@@ -13,6 +13,7 @@ from sylvobs import (
     partition_by_output,
     solve_constrained_sylvester,
     spectral_abscissa,
+    sylvester,
     verify_solution,
 )
 from tests.conftest import (
@@ -81,6 +82,17 @@ class TestErrors:
         with pytest.raises(ValueError):
             solve_constrained_sylvester(np.eye(2), np.zeros((0, 2)))
 
+    def test_stabilization_gate(self, monkeypatch):
+        # a zero gain leaves F = N.T A N = [[1]]: the solve raises on the
+        # spectrum of F in its own verification report
+        monkeypatch.setattr(
+            sylvester, "_staircase_gain",
+            lambda A, C, dec, desired: np.zeros((A.shape[0], C.shape[0])),
+        )
+        with pytest.raises(np.linalg.LinAlgError, match="^stabilization failed verification$") as exc:
+            solve_constrained_sylvester([[0.0, 1.0], [0.0, 1.0]], C_CHAIN)
+        assert exc.traceback[-1].path.name == "sylvester.py"
+
     def test_pole_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             solve_constrained_sylvester(A_CHAIN, C_CHAIN, [-1.0, -2.0])
@@ -96,9 +108,9 @@ class TestErrors:
         (lambda: solve_constrained_sylvester(np.eye(2), np.eye(3)[:, :2]),
          r"^C must have at most 2 rows, got 3$"),
         (lambda: verify_solution(A_CHAIN, np.ones((1, 3)), [[1.0, 0.0]], [[-1.0]], [[1.0]]),
-         r"^C and T must have as many columns as A$"),
+         r"^C must have 2 columns to match A, got 3$"),
         (lambda: verify_solution(A_CHAIN, C_CHAIN, [[1.0, 0.0, 0.0]], [[-1.0]], [[1.0]]),
-         r"^C and T must have as many columns as A$"),
+         r"^T must have 2 columns to match A, got 3$"),
     ],
     ids=["solve-columns", "partition-columns", "solve-rows", "verify-C-columns",
          "verify-T-columns"],
