@@ -10,9 +10,9 @@ computed: ``stabilizing_gain`` calls it after its own, and the Sylvester
 solve after the staircase that gave its verdict, so poles are placed on
 exactly the block the verdict called observable.  Its gain is checked
 twice: the achieved characteristic coefficients against the targets'
-here, and the stability of the closed loop by its caller (the placement
-gate): ``stabilizing_gain`` on ``A + K @ C``, the solve on the F of its
-verification report, so F's spectrum is computed once.
+here, and the stability of the closed loop by ``_placement_gate``, which
+``stabilizing_gain`` applies to ``A + K @ C`` and the solve to the F of
+its verification report, so F's spectrum is computed once.
 
 The assignment works on the dual state-feedback problem ``(A11.T, C1.T)``
 of that staircase, which is block upper Hessenberg on the staircase's
@@ -151,22 +151,21 @@ def _insert_invariant_block(A, B, mu, directions):
     raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: degenerate null space")
 
 
-def _placement_order(poles, name="poles"):
+def _placement_order(poles):
     """``poles`` as placement items: each real pole, and each conjugate pair
     once, in descending (real, imag) order.
 
     The complex poles are paired from the last: each takes the nearest
     conjugate of itself among the complex poles left as its partner, and
-    none within ``_PAIR_TOL * (1 + |pole|)`` is a ``ValueError`` naming
-    ``name``.  A pair's item is its member that comes first in that order,
-    with a positive imaginary part."""
+    none within ``_PAIR_TOL * (1 + |pole|)`` is a ``ValueError``.  A pair's
+    item is its member that comes first in that order, made +imag."""
     unmatched = [j for j, v in enumerate(poles) if v.imag != 0.0]
     partner = {}
     while unmatched:
         j = unmatched.pop()
         dists = [abs(np.conj(poles[j]) - poles[k]) for k in unmatched]
         if not dists or min(dists) > _PAIR_TOL * (1.0 + abs(poles[j])):
-            raise ValueError(f"{name} must be closed under conjugation; {poles[j]} is unmatched")
+            raise ValueError(f"desired must be closed under conjugation; {poles[j]} is unmatched")
         k = unmatched.pop(int(np.argmin(dists)))
         partner[j], partner[k] = k, j
     items = []
@@ -320,7 +319,7 @@ def place_poles(Ao, Co, desired, tol=0.0):
     poles = _as_pole_array(desired)
     if poles.size != n:
         raise ValueError(f"desired must list {n} poles, got {poles.size}")
-    items = _placement_order(poles, "desired")
+    items = _placement_order(poles)
     dec = _decompose(A, C, tol)
     if dec.no < n:
         raise ValueError("pair is not observable; exact eigenvalue assignment impossible")
@@ -362,15 +361,19 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0):
     if offending:
         raise _undetectable(offending)
     K = _staircase_gain(A, C, dec, desired)
-    if spectral_abscissa(A + K @ C) >= 0.0:
-        raise np.linalg.LinAlgError("stabilization failed verification")
+    _placement_gate(spectral_abscissa(A + K @ C))
     return K
+
+
+def _placement_gate(abscissa):
+    """The placement gate: a closed loop's spectral abscissa must be < 0."""
+    if abscissa >= 0.0:
+        raise np.linalg.LinAlgError("stabilization failed verification")
 
 
 def _staircase_gain(A, C, dec, desired):
     """``stabilizing_gain`` of a validated pair whose staircase ``dec`` has
-    no unstable unobservable mode, before its placement gate: the caller
-    checks that ``A + K @ C`` is stable."""
+    no unstable unobservable mode, before the caller's ``_placement_gate``."""
     if desired is None:
         poles = default_stable_poles(dec.no)
     else:
@@ -381,7 +384,7 @@ def _staircase_gain(A, C, dec, desired):
             raise ValueError(
                 f"desired must list {dec.no} poles for the observable block, got {poles.size}"
             )
-    items = _placement_order(poles, "desired")
+    items = _placement_order(poles)
     if dec.no == 0:
         return np.zeros((A.shape[0], C.shape[0]))
     return dec.Tsim[:, : dec.no] @ _place_output_injection(dec, poles, items)

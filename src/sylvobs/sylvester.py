@@ -20,10 +20,10 @@ the observability split every verdict of the package uses (``analysis``):
    ``F = N.T A N + Kq Q A N`` Hurwitz stable;
 3. assemble ``T = Kq Q + N.T`` and G; with ``K = Kq diag(1/s) U.T``,
    ``[C; T] = [[I, 0], [K, I]] @ inv(L)``;
-4. verify (T, F, G): a spectral abscissa of F >= 0 in the report is the
-   placement gate ("stabilization failed verification", as in
-   ``stabilizing_gain``), then the residual, ``[C; T]`` and rank gates; the
-   report is returned with the solution.
+4. verify (T, F, G): the spectral abscissa of F in the report goes
+   through the placement gate of ``gains`` ("stabilization failed
+   verification", as in ``stabilizing_gain``), then the residual,
+   ``[C; T]`` and rank gates; the report is returned with the solution.
 
 ``verify_solution`` recomputes the defining quantities of any candidate
 (T, F, G) independently of how it was produced.
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _obs_split, _undetectable, _unstable_hidden_modes
-from .gains import _staircase_gain
+from .gains import _placement_gate, _staircase_gain
 from .linalg import (
     DEFAULTS,
     _as_pair,
@@ -178,8 +178,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
     G = (T @ A @ Q.T - F @ Kq) / s @ U.T
 
     report = verify_solution(A, C, T, F, G, tol)
-    if report.F_spectral_abscissa >= 0.0:
-        raise np.linalg.LinAlgError("stabilization failed verification")
+    _placement_gate(report.F_spectral_abscissa)
     scale = DEFAULTS.residual_rtol * (1.0 + float(np.linalg.norm(A)))
     ok = (
         report.residual_norm <= scale

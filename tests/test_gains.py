@@ -69,7 +69,8 @@ class TestPlacePoles:
 
     def test_not_conjugate_closed_rejected(self):
         A = [[0.0, 1.0], [0.0, 0.0]]
-        with pytest.raises(ValueError, match="conjugation"):
+        message = r"^desired must be closed under conjugation; \(-1\+1j\) is unmatched$"
+        with pytest.raises(ValueError, match=message):
             place_poles(A, [[1.0, 0.0]], [-1 + 1j, -2.0])
 
     def test_complex_pair_fallback(self, monkeypatch):

@@ -83,15 +83,15 @@ class TestErrors:
             solve_constrained_sylvester(np.eye(2), np.zeros((0, 2)))
 
     def test_stabilization_gate(self, monkeypatch):
-        # a zero gain leaves F = N.T A N = [[1]]: the solve raises on the
-        # spectrum of F in its own verification report
+        # a zero gain leaves F = N.T A N = [[1]]: the solve raises the
+        # placement gate of gains on the spectrum of F in its own report
         monkeypatch.setattr(
             sylvester, "_staircase_gain",
             lambda A, C, dec, desired: np.zeros((A.shape[0], C.shape[0])),
         )
         with pytest.raises(np.linalg.LinAlgError, match="^stabilization failed verification$") as exc:
             solve_constrained_sylvester([[0.0, 1.0], [0.0, 1.0]], C_CHAIN)
-        assert exc.traceback[-1].path.name == "sylvester.py"
+        assert exc.traceback[-1].path.name == "gains.py"
 
     def test_pole_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
