@@ -8,7 +8,8 @@ unmeasured pair ``(N.T A N, Q A N)``.  The measured coordinates ``Q x``
 are observable; the staircase splits the rest.  ``tol``, when positive,
 is the absolute rank cutoff of both steps; at 0 the SVD of C uses
 ``max(p, n) * eps * sigma_max(C)`` and the staircase ``sqrt(eps) *
-||A||``, so no decision depends on the scale of C.
+||A||``, so no decision depends on the scale of C.  Every pair that
+``linalg._as_pair`` accepts is split; a zero C leaves every mode hidden.
 
 ``obs_decompose`` returns the split in full-pair form:
 
@@ -108,13 +109,6 @@ class ObsDecomposition:
         return tuple(sum(r >= j for r in self.stages) for j in range(1, top + 1))
 
 
-def _validated_pair(A, C):
-    A, C = _as_pair(A, C)
-    if not np.any(C):
-        raise ValueError("C must be nonzero")
-    return A, C
-
-
 def _distinct_eigenvalues(vals, match_tol):
     reps = []
     for lam in vals:
@@ -131,9 +125,9 @@ def check_detectability(A, C, tol=0.0):
     hidden blocks, merged at ``DEFAULTS.eig_match``; one found in the
     hidden block is unobservable.  Eigenvalues with
     ``Re >= -DEFAULTS.stability`` count as unstable, so marginal modes must
-    be observable to pass.
+    be observable to pass.  With a zero C every mode is hidden.
     """
-    dec = _decompose(*_validated_pair(A, C), tol)
+    dec = _decompose(*_as_pair(A, C), tol)
     hidden = eigenvalues(dec.A22)
     merged = sorted([*eigenvalues(dec.A11), *hidden], key=lambda v: (-v.real, -v.imag))
     match = DEFAULTS.eig_match
@@ -193,9 +187,10 @@ def obs_decompose(A, C, tol=0.0):
     ``no == n`` (empty A21/A22) when the pair is observable; otherwise
     the eigenvalues of A22 are exactly the unobservable modes.  ``tol`` is
     the rank cutoff of the split (module docstring) for C and for the
-    staircase; C may be rank deficient or have more rows than columns.
+    staircase; C may be rank deficient, zero (``no == 0``) or have more
+    rows than columns.
     """
-    return _decompose(*_validated_pair(A, C), tol)
+    return _decompose(*_as_pair(A, C), tol)
 
 
 def _unstable_hidden_modes(hidden):

@@ -12,7 +12,8 @@ exactly the block the verdict called observable.  Its gain is checked
 twice: the achieved characteristic coefficients against the targets'
 here, and the stability of the closed loop by ``_placement_gate``, which
 ``stabilizing_gain`` applies to ``A + K @ C`` and the solve to the F of
-its verification report, so F's spectrum is computed once.
+its verification report, so F's spectrum is computed once.  Every target
+list, the defaults too, passes one check, ``_targets``.
 
 The assignment works on the dual state-feedback problem ``(A11.T, C1.T)``
 of that staircase, which is block upper Hessenberg on the staircase's
@@ -43,7 +44,7 @@ import itertools
 import numpy as np
 
 from .analysis import _decompose, _undetectable, _unstable_hidden_modes
-from .linalg import _as_pair, _rank_cutoff, eigenvalues, spectral_abscissa
+from .linalg import DEFAULTS, _as_pair, _rank_cutoff, eigenvalues, spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
 
@@ -67,15 +68,24 @@ def default_stable_poles(k):
     return -1.0 - 0.5 * np.arange(k, dtype=float) + 0j
 
 
-def _as_pole_array(values, name="poles"):
+def _targets(desired, k, stable):
+    """``(poles, items)``: the targets ``desired`` of a block of order ``k``,
+    checked once (numbers, finite, snapped to the real axis within
+    ``_REAL_SNAP``, stable by the verdict's band when ``stable``, ``k`` of
+    them), and their ``_placement_order``."""
     try:
-        vals = np.atleast_1d(np.asarray(values, dtype=complex)).ravel()
+        poles = np.asarray(desired, dtype=complex).ravel()
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be numbers: {exc}") from None
-    if not np.all(np.isfinite(vals)):
-        raise ValueError(f"{name} must be finite")
-    snap = np.abs(vals.imag) <= _REAL_SNAP * (1.0 + np.abs(vals.real))
-    return np.where(snap, vals.real + 0j, vals)
+        raise ValueError(f"desired must be numbers: {exc}") from None
+    if not np.all(np.isfinite(poles)):
+        raise ValueError("desired must be finite")
+    snap = np.abs(poles.imag) <= _REAL_SNAP * (1.0 + np.abs(poles.real))
+    poles = np.where(snap, poles.real + 0j, poles)
+    if stable and _unstable_hidden_modes(poles):
+        raise ValueError(f"desired must have real parts below -{DEFAULTS.stability:g}")
+    if poles.size != k:
+        raise ValueError(f"desired must list {k} poles, got {poles.size}")
+    return poles, _placement_order(poles)
 
 
 def _pencil_directions(S, B):
@@ -123,8 +133,6 @@ def _insert_invariant_block(A, B, mu, directions):
     """
     n = A.shape[0]
     X, W = directions(A - (mu.real if mu.imag == 0.0 else mu) * np.eye(n), B)
-    if X.shape[1] == 0:
-        raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: no null direction")
     candidates = zip(X.T, W.T)
     if mu.imag != 0.0:
         pairs = (
@@ -153,29 +161,38 @@ def _insert_invariant_block(A, B, mu, directions):
 
 def _placement_order(poles):
     """``poles`` as placement items: each real pole, and each conjugate pair
-    once, in descending (real, imag) order.
+    once, in descending (real, imag) order, a pair by its member that comes
+    first made +imag.  The pairs are a maximum matching (augmenting paths)
+    of +imag to -imag members, b a partner of a when ``|b - conj(a)| <=
+    _PAIR_TOL * (1 + max(|a|, |b|))``; members of one sign are never that
+    near after ``_REAL_SNAP``, so an unmatched one has no pairing at all."""
+    values = poles.tolist()
+    upper = [j for j, v in enumerate(values) if v.imag > 0.0]
+    lower = [j for j, v in enumerate(values) if v.imag < 0.0]
+    owner = {}
 
-    The complex poles are paired from the last: each takes the nearest
-    conjugate of itself among the complex poles left as its partner, and
-    none within ``_PAIR_TOL * (1 + |pole|)`` is a ``ValueError``.  A pair's
-    item is its member that comes first in that order, made +imag."""
-    unmatched = [j for j, v in enumerate(poles) if v.imag != 0.0]
-    partner = {}
-    while unmatched:
-        j = unmatched.pop()
-        dists = [abs(np.conj(poles[j]) - poles[k]) for k in unmatched]
-        if not dists or min(dists) > _PAIR_TOL * (1.0 + abs(poles[j])):
+    def augment(i, seen):
+        a = values[i]
+        for j in lower:
+            b = values[j]
+            if j not in seen and abs(b - a.conjugate()) <= _PAIR_TOL * (1.0 + max(abs(a), abs(b))):
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    for i in upper:
+        augment(i, set())
+    partner = {**owner, **{i: j for j, i in owner.items()}}
+    for j in upper + lower:
+        if j not in partner:
             raise ValueError(f"desired must be closed under conjugation; {poles[j]} is unmatched")
-        k = unmatched.pop(int(np.argmin(dists)))
-        partner[j], partner[k] = k, j
-    items = []
-    for j in np.lexsort((-poles.imag, -poles.real)):
-        v = poles[j]
-        if v.imag == 0.0:
-            items.append(complex(v))
-        elif j in partner:
-            del partner[partner.pop(j)]
-            items.append(complex(v.real, abs(v.imag)))
+    items, placed = [], set()
+    for j in np.lexsort((-poles.imag, -poles.real)).tolist():
+        if partner.get(j) not in placed:
+            placed.add(j)
+            items.append(complex(values[j].real, abs(values[j].imag)))
     return items
 
 
@@ -298,7 +315,7 @@ def place_poles(Ao, Co, desired, tol=0.0):
     Parameters
     ----------
     Ao : (n, n) array_like
-    Co : (p, n) array_like, nonzero
+    Co : (p, n) array_like
     desired : length-n sequence of numbers, closed under conjugation.
         Any target spectrum is allowed (not only stable ones).
     tol : float
@@ -312,16 +329,12 @@ def place_poles(Ao, Co, desired, tol=0.0):
     Raises
     ------
     ValueError
-        Unobservable pair, length mismatch, or targets not conjugate-closed.
+        Unobservable pair, or not n finite, conjugate-closed targets.
     """
     A, C = _as_pair(Ao, Co, ("Ao", "Co"))
-    n = A.shape[0]
-    poles = _as_pole_array(desired)
-    if poles.size != n:
-        raise ValueError(f"desired must list {n} poles, got {poles.size}")
-    items = _placement_order(poles)
+    poles, items = _targets(desired, A.shape[0], stable=False)
     dec = _decompose(A, C, tol)
-    if dec.no < n:
+    if dec.no < A.shape[0]:
         raise ValueError("pair is not observable; exact eigenvalue assignment impossible")
     return dec.Tsim @ _place_output_injection(dec, poles, items)
 
@@ -346,8 +359,8 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0):
     empty observable block, so the gain is zero and Ao must be stable.
 
     ``desired`` applies to the observable block and must match its
-    dimension; all targets need negative real parts.  When omitted, the
-    defaults from :func:`default_stable_poles` are used.
+    dimension; each target needs ``Re < -DEFAULTS.stability``, the band of
+    a stable hidden mode.  By default :func:`default_stable_poles`.
 
     Raises
     ------
@@ -374,17 +387,8 @@ def _placement_gate(abscissa):
 def _staircase_gain(A, C, dec, desired):
     """``stabilizing_gain`` of a validated pair whose staircase ``dec`` has
     no unstable unobservable mode, before the caller's ``_placement_gate``."""
-    if desired is None:
-        poles = default_stable_poles(dec.no)
-    else:
-        poles = _as_pole_array(desired)
-        if poles.size and np.max(poles.real) >= 0.0:
-            raise ValueError("stabilization targets must have negative real parts")
-        if poles.size != dec.no:
-            raise ValueError(
-                f"desired must list {dec.no} poles for the observable block, got {poles.size}"
-            )
-    items = _placement_order(poles)
+    desired = default_stable_poles(dec.no) if desired is None else desired
+    poles, items = _targets(desired, dec.no, stable=True)
     if dec.no == 0:
         return np.zeros((A.shape[0], C.shape[0]))
     return dec.Tsim[:, : dec.no] @ _place_output_injection(dec, poles, items)

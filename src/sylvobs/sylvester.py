@@ -145,8 +145,8 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
     A : (n, n) array_like
     C : (p, n) array_like with full row rank, 1 <= p <= n.
     desired : optional pole list for the observable block of the reduced
-        pair; length must equal that block's dimension, all real parts
-        negative, conjugate-closed.
+        pair; length must equal that block's dimension, each real part
+        below ``-DEFAULTS.stability``, conjugate-closed.
     tol : float
         Rank tolerance and staircase cutoff (0 selects the default rules).
         The detectability gate's stability band is ``DEFAULTS.stability``.

@@ -10,9 +10,9 @@ import numpy as np
 
 from sylvobs import obs_decompose, spectral_abscissa
 
-# tolerance used by tests that classify planted hidden structure; the
-# CLI default.  See the library docs: the eps-level default rank rule is
-# for honest rank questions, not for structure buried under round-off.
+# tolerance used by tests that classify planted hidden structure.  See the
+# library docs: the eps-level default rank rule is for honest rank
+# questions, not for structure buried under round-off.
 STRUCT_TOL = 1e-9
 
 

@@ -64,9 +64,23 @@ class TestPBH:
         assert observable_row(verdict, 1j) and observable_row(verdict, -1j)
         assert obs_decompose(A, C).no == 2
 
-    def test_zero_C_rejected(self):
-        with pytest.raises(ValueError):
-            check_detectability(np.eye(2), np.zeros((1, 2)))
+    @pytest.mark.parametrize(
+        "modes, offending", [([1.0, -2.0], [1.0]), ([-1.0, -2.0], [])], ids=["unstable", "stable"]
+    )
+    def test_zero_C_hides_every_mode(self, modes, offending):
+        # a zero C measures nothing: the verdict is stabilizing_gain's
+        A, C = np.diag(modes), np.zeros((1, 2))
+        verdict = check_detectability(A, C)
+        assert verdict.detectable is not offending
+        assert verdict.offending == offending
+        assert [e.observable for e in verdict.per_eigenvalue] == [False, False]
+        assert verdict.observability_indices == ()
+        if offending:
+            with pytest.raises(UndetectableError) as err:
+                stabilizing_gain(A, C)
+            assert err.value.offending == offending
+        else:
+            assert not np.any(stabilizing_gain(A, C))
 
 
 @pytest.mark.parametrize("fn", [check_detectability, obs_decompose])
@@ -75,9 +89,8 @@ class TestPBH:
     [
         (np.eye(2), np.ones((1, 3)), r"^C must have 2 columns to match A, got 3$"),
         (np.ones((2, 3)), np.ones((1, 3)), r"^A must be square, got shape \(2, 3\)$"),
-        (np.eye(2), np.zeros((2, 2)), r"^C must be nonzero$"),
     ],
-    ids=["columns", "square", "nonzero"],
+    ids=["columns", "square"],
 )
 def test_invalid_pair_rejected(fn, A, C, message):
     with pytest.raises(ValueError, match=message):
@@ -168,9 +181,11 @@ class TestStaircase:
         assert dec.no == 1
         assert_allclose(eigenvalues(dec.A22), [5.0])
 
-    def test_zero_C_rejected(self):
-        with pytest.raises(ValueError):
-            obs_decompose(np.eye(2), np.zeros((1, 2)))
+    def test_zero_C_has_no_observable_block(self):
+        dec = obs_decompose(np.diag([1.0, -2.0]), np.zeros((1, 2)))
+        assert dec.no == 0 and dec.stages == ()
+        assert dec.C1.shape == (1, 0)
+        assert_multiset_close(eigenvalues(dec.A22), [1.0, -2.0])
 
     @pytest.mark.parametrize(
         "A, C, stages, indices",

@@ -58,6 +58,12 @@ class TestMatrixFiles:
         for key in named:
             assert np.array_equal(loaded[key], np.atleast_2d(named[key]))
 
+    def test_vector_saved_as_column(self, tmp_path):
+        path = tmp_path / "v.json"
+        save_matrices(path, {"x0": np.array([1.0, 2.0])})
+        assert json.loads(path.read_text())["x0"] == {"rows": 2, "cols": 1, "data": [1.0, 2.0]}
+        assert np.array_equal(load_matrices(path)["x0"], [[1.0], [2.0]])
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"A": {"rows": 2, "cols": 2}}')
@@ -158,6 +164,31 @@ class TestCheck:
         assert "tol must be finite and >= 0" in captured.err
         assert captured.out == ""
 
+    def test_complex_eigenvalues_in_table(self, tmp_path, capsys):
+        path = write_system(tmp_path, A=np.array([[0.0, 1.0], [-2.0, -2.0]]))
+        code = main(["check", path])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert [row.split() for row in rows[1:3]] == [["-1+1j", "yes", "yes"], ["-1-1j", "yes", "yes"]]
+
+    @pytest.mark.parametrize(
+        "A, code", [(np.diag([1.0, -2.0]), 2), (np.diag([-1.0, -2.0]), 0)], ids=["unstable", "stable"]
+    )
+    def test_zero_C_hides_every_mode(self, tmp_path, capsys, A, code):
+        path = write_system(tmp_path, A=A, C=np.zeros((1, 2)))
+        assert main(["check", path, "--json"]) == code
+        doc = json.loads(capsys.readouterr().out)
+        assert [e["observable"] for e in doc["eigenvalues"]] == [False, False]
+        assert doc["observability_indices"] == []
+
+    def test_rank_cutoff_is_scale_aware(self, tmp_path, capsys):
+        # the default --tol is the library's: a small C still measures the
+        # double integrator's position
+        path = write_system(tmp_path, C=np.array([[1e-10, 0.0]]))
+        assert main(["check", path]) == 0
+        assert "is detectable" in capsys.readouterr().out
+        assert main(["check", path, "--tol", "1e-9"]) == 2
+
     def test_json_output(self, tmp_path, capsys):
         code = main(["check", write_system(tmp_path), "--json"])
         doc = json.loads(capsys.readouterr().out)
@@ -224,6 +255,14 @@ class TestObserve:
         assert set(obs) == {"F", "G", "P", "T", "W"}
         assert_allclose(obs["P"], [[1.0]], atol=1e-12)
         assert_allclose(obs["W"], [[1.0, 0.0], [1.0, 1.0]], atol=1e-12)
+
+    def test_poles_in_the_stability_band(self, tmp_path, capsys):
+        out_path = str(tmp_path / "obs.json")
+        code = main(["observe", write_system(tmp_path), "--poles=-5e-10", "--out", out_path])
+        assert code == 1
+        assert "desired must have real parts below -1e-09" in capsys.readouterr().err
+        assert not os.path.exists(out_path)
+        assert main(["observe", write_system(tmp_path), "--poles=-2e-9", "--out", out_path]) == 0
 
     def test_zero_B(self, tmp_path):
         out_path = str(tmp_path / "obs.json")
@@ -364,6 +403,13 @@ class TestSimulate:
         assert f"observer {name} must have shape {expected}" in err and f"got {shape}" in err
         assert not csv_path.exists()
 
+    def test_bad_x0_token(self, tmp_path, capsys):
+        code = main(["simulate", write_system(tmp_path), "--x0", "1,a", "--t-final", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cannot parse --x0 '1,a'" in captured.err
+        assert captured.out == ""
+
     def test_x0_flag_overrides(self, tmp_path, capsys):
         path = write_system(tmp_path)
         code = main(
@@ -495,15 +541,22 @@ class TestExitCodes:
         assert main(["check", str(tmp_path / "nope.json")]) == 1
 
     def test_module_entry_point(self, tmp_path):
-        path = write_system(tmp_path)
+        # python -m sylvobs runs cli.entry(), which exits with main()'s code:
+        # argparse's own exit 2 on a usage error is remapped to 1
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, "-m", "sylvobs", "check", path],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode == 0
-        assert "detectable" in proc.stdout
+        cases = [
+            (["check", write_system(tmp_path)], 0, "is detectable"),
+            (["check", write_system(tmp_path, "hidden.json", A=np.eye(2))], 2, "NOT detectable"),
+            (["check"], 1, ""),
+        ]
+        for argv, code, out in cases:
+            proc = subprocess.run(
+                [sys.executable, "-m", "sylvobs", *argv],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == code, proc.stderr
+            assert out in proc.stdout

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sylvobs import (
+    Plant,
     UndetectableError,
     check_detectability,
     default_stable_poles,
@@ -12,8 +13,10 @@ from sylvobs import (
     gains,
     obs_decompose,
     place_poles,
+    solve_constrained_sylvester,
     spectral_abscissa,
     stabilizing_gain,
+    synthesize_observer,
 )
 from tests.conftest import (
     STRUCT_TOL,
@@ -23,6 +26,10 @@ from tests.conftest import (
     random_stable_poles,
     random_undetectable_pair,
 )
+
+# the double integrator, position measured
+A_DOUBLE = np.array([[0.0, 1.0], [0.0, 0.0]])
+C_DOUBLE = np.array([[1.0, 0.0]])
 
 
 def char_coeff_relerr(Acl, poles):
@@ -100,7 +107,7 @@ class TestPlacePoles:
         # its conjugate is: the pair must still be its two members
         A, C = random_observable_pair(np.random.default_rng(26), 3, 1)
         poles = [-1 + 1e-10 - 1j, -1 + 1j, -1.5]
-        assert gains._placement_order(gains._as_pole_array(poles)) == [-1 + 1e-10 + 1j, -1.5]
+        assert gains._targets(poles, 3, stable=False)[1] == [-1 + 1e-10 + 1j, -1.5]
         K = place_poles(A, C, poles)
         assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
 
@@ -166,10 +173,10 @@ class TestPlacePoles:
          r"^Co must have 2 columns to match Ao, got 3$"),
         (lambda: stabilizing_gain(np.eye(2), np.ones((1, 3))),
          r"^Co must have 2 columns to match Ao, got 3$"),
-        (lambda: place_poles([[0.0]], [[1.0]], ["a"]), r"^poles must be numbers: "),
-        (lambda: stabilizing_gain([[1.0]], [[1.0]], [object()]), r"^poles must be numbers: "),
-        (lambda: place_poles([[0.0]], [[1.0]], [np.nan]), r"^poles must be finite$"),
-        (lambda: stabilizing_gain([[1.0]], [[1.0]], [-np.inf]), r"^poles must be finite$"),
+        (lambda: place_poles([[0.0]], [[1.0]], ["a"]), r"^desired must be numbers: "),
+        (lambda: stabilizing_gain([[1.0]], [[1.0]], [object()]), r"^desired must be numbers: "),
+        (lambda: place_poles([[0.0]], [[1.0]], [np.nan]), r"^desired must be finite$"),
+        (lambda: stabilizing_gain([[1.0]], [[1.0]], [-np.inf]), r"^desired must be finite$"),
     ],
     ids=["place-columns", "stabilize-columns", "place-text", "stabilize-object",
          "place-nan", "stabilize-inf"],
@@ -177,6 +184,87 @@ class TestPlacePoles:
 def test_invalid_input_rejected(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _pairable(members):
+    """Brute-force oracle: whether the complex ``members`` split into pairs,
+    each member within ``_PAIR_TOL`` of its partner's conjugate, trying
+    every pairing (of either sign)."""
+    if not members:
+        return True
+    a, rest = members[0], members[1:]
+    return any(
+        abs(b - np.conj(a)) <= gains._PAIR_TOL * (1.0 + max(abs(a), abs(b)))
+        and _pairable(rest[:k] + rest[k + 1:])
+        for k, b in enumerate(rest)
+    )
+
+
+def _target_list(rng):
+    """0-5 conjugate pairs (half of the lists repeat one) and 0-4 reals, 90%
+    of the lists perturbed by a log-uniform 1e-12..1e-8 relative amount."""
+    k = int(rng.integers(0, 6))
+    pairs = list(rng.uniform(-3.0, 0.0, k) + 1j * rng.uniform(0.1, 3.0, k))
+    if k and rng.random() < 0.5:
+        pairs.append(pairs[int(rng.integers(k))])
+    reals = rng.uniform(-3.0, 0.0, int(rng.integers(0, 5)))
+    poles = np.array([*pairs, *np.conj(pairs), *reals], dtype=complex)
+    if rng.random() < 0.9:
+        rel = 10.0 ** rng.uniform(-12.0, -8.0, poles.size)
+        poles *= 1.0 + rel * np.exp(2j * np.pi * rng.random(poles.size))
+    return rng.permutation(poles)
+
+
+class TestTargets:
+    """``gains._targets``, the one boundary every placement's targets pass."""
+
+    def test_pairing_is_exact(self):
+        # the +imag member nearest to the last member's conjugate is the only
+        # partner of another member: the list pairs up, but not greedily
+        z = -1 + 1j
+        poles = [z, z + 2e-9, np.conj(z) - 1.5e-9, np.conj(z) + 0.5e-9]
+        assert gains._targets(poles, 4, stable=False)[1] == [z + 2e-9, z]
+        A, C = random_observable_pair(np.random.default_rng(5), 4, 2)
+        K = place_poles(A, C, poles)
+        assert_multiset_close(eigenvalues(A + K @ C), poles, tol=1e-8)
+
+    def test_pairing_matches_brute_force(self):
+        rng = np.random.default_rng(93)
+        accepted = 0
+        for _ in range(2000):
+            poles = _target_list(rng)
+            snap = np.abs(poles.imag) <= gains._REAL_SNAP * (1.0 + np.abs(poles.real))
+            members = [complex(v) for v in poles[~snap]]
+            try:
+                gains._targets(poles, poles.size, stable=False)
+            except ValueError as exc:
+                assert "closed under conjugation" in str(exc)
+                assert not _pairable(members)
+            else:
+                assert _pairable(members)
+                accepted += 1
+        assert 500 < accepted < 1500
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda d: solve_constrained_sylvester(A_DOUBLE, C_DOUBLE, d),
+            lambda d: synthesize_observer(Plant(A_DOUBLE, [[0.0], [1.0]], C_DOUBLE), d),
+            lambda d: stabilizing_gain(A_DOUBLE, C_DOUBLE, [*d, -1.0]),
+        ],
+        ids=["solve", "observer", "stabilizing"],
+    )
+    def test_stability_band(self, solve):
+        # a target in the band that makes a hidden mode undetectable is no
+        # stabilization target; one just outside it is
+        assert not check_detectability(np.diag([-1.0, -5e-10]), [[1.0, 0.0]]).detectable
+        with pytest.raises(ValueError, match=r"^desired must have real parts below -1e-09$"):
+            solve([-5e-10])
+        solve([-2e-9])
+
+    def test_place_poles_takes_any_spectrum(self):
+        K = place_poles(A_DOUBLE, C_DOUBLE, [1.0, -5e-10])
+        assert_multiset_close(eigenvalues(A_DOUBLE + K @ C_DOUBLE), [1.0, -5e-10], tol=1e-9)
 
 
 class TestGates:
@@ -447,12 +535,12 @@ class TestStabilizingGain:
         assert_allclose(default_stable_poles(3), [-1.0, -1.5, -2.0])
 
     def test_unstable_target_rejected(self):
-        with pytest.raises(ValueError, match="negative real"):
+        with pytest.raises(ValueError, match=r"^desired must have real parts below -1e-09$"):
             stabilizing_gain([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]], [1.0, -2.0])
 
     def test_block_length_mismatch_rejected(self):
         # observable block has dimension 1, so two poles is an error
-        with pytest.raises(ValueError, match="observable block"):
+        with pytest.raises(ValueError, match=r"^desired must list 1 poles, got 2$"):
             stabilizing_gain(np.diag([-1.0, -2.0]), [[1.0, 0.0]], [-1.0, -2.0])
 
     def test_stabilizes_every_detectable_pair(self):

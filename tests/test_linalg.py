@@ -8,7 +8,7 @@ from sylvobs import (
     rank_tol,
     spectral_abscissa,
 )
-from sylvobs.linalg import _canonical_signs, as_matrix
+from sylvobs.linalg import _canonical_signs, as_matrix, as_vector
 from tests.conftest import assert_multiset_close
 
 
@@ -41,6 +41,42 @@ class TestAsMatrix:
         ):
             with pytest.raises(ValueError, match=match):
                 as_matrix(M)
+
+    @pytest.mark.parametrize(
+        "M, shape", [(2.5, (1, 1)), ([1.0, 2.0, 3.0], (1, 3))], ids=["scalar", "1-D"]
+    )
+    def test_scalar_and_vector_are_rows(self, M, shape):
+        A = as_matrix(M)
+        assert A.shape == shape
+        assert_allclose(A.ravel(), np.ravel(M))
+
+
+class TestAsVector:
+    @pytest.mark.parametrize(
+        "v", [[1.0, 2.0], [[1.0, 2.0]], [[1.0], [2.0]], np.array([1, 2])],
+        ids=["list", "row", "column", "int-array"],
+    )
+    def test_rows_and_columns_flattened(self, v):
+        a = as_vector(v, "v", 2)
+        assert a.shape == (2,) and a.dtype == np.float64
+        assert_allclose(a, [1.0, 2.0])
+
+    def test_scalar_is_length_one(self):
+        assert_allclose(as_vector(3.0), [3.0])
+
+    @pytest.mark.parametrize(
+        "v, length, message",
+        [
+            (["a"], None, r"^v must be a real vector: "),
+            (np.ones((2, 2)), None, r"^v must be 1-D, got shape \(2, 2\)$"),
+            ([1.0, np.inf], None, r"^v must have finite entries$"),
+            ([1.0, 2.0], 3, r"^v must have length 3, got 2$"),
+        ],
+        ids=["text", "matrix", "inf", "length"],
+    )
+    def test_invalid_rejected(self, v, length, message):
+        with pytest.raises(ValueError, match=message):
+            as_vector(v, "v", length)
 
 
 class TestRank:

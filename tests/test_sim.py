@@ -539,6 +539,8 @@ class TestFormatG17:
         buf = io.StringIO()
         write_trace_csv(trace, buf)
         assert buf.getvalue() == "t,x_1,x_2,z_1,e_1,xhat_1,xhat_2,e_norm\n"
+        with pytest.raises(ValueError, match="^trace is empty$"):
+            error_metrics(trace)
 
     def test_any_float_block(self):
         hypothesis = pytest.importorskip("hypothesis")
