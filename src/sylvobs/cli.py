@@ -6,7 +6,9 @@ region included), 2 undetectable pair, 3 simulation diagnostic failure
 """
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,18 +34,31 @@ def _require(matrices, path, *keys):
     return out
 
 
-def _parse_poles(text):
-    try:
-        return [complex(tok.strip().replace("i", "j")) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"cannot parse pole list '{text}'") from None
+def _list_type(convert, flag):
+    """The argparse ``type`` of the comma-separated list option ``flag``:
+    each entry through ``convert``, and None (the option's default) for a
+    list with no entries, such as ``''``."""
+
+    def parse(text):
+        try:
+            return [convert(tok) for tok in text.split(",") if tok.strip()] or None
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse {flag} '{text}'") from None
+
+    return parse
 
 
-def _parse_vector(text, name):
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"cannot parse {name} '{text}'") from None
+def _join_list_values(argv):
+    """``argv`` with each list option joined to the token after it, as
+    ``--x0=-1,0``: argparse reads a token that starts with "-" as an option
+    unless it is one plain number, so it would refuse most negative lists."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--poles", "--x0", "--z0", "--amplitude"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
 
 
 def _fmt_complex(v):
@@ -84,17 +99,12 @@ def _print_verdict(verdict, as_json):
         print(f"pair (A, C) is NOT detectable; offending eigenvalues: {offending}")
 
 
-def _print_report(report, as_json, extra=None):
-    doc = {
-        "residual_norm": report.residual_norm,
-        "stacked_min_singular_value": report.stacked_min_singular_value,
-        "F_spectral_abscissa": report.F_spectral_abscissa,
-        "T_rank": report.T_rank,
-    }
-    if extra:
-        doc.update(extra)
+def _print_flat(doc, as_json):
+    """Print a flat report: as JSON, where a non-finite float is null (JSON
+    has no NaN or inf), or as one aligned ``key  value`` line per entry."""
     if as_json:
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                          for k, v in doc.items()}, indent=2))
         return
     width = max(len(k) for k in doc)
     for key, value in doc.items():
@@ -110,23 +120,21 @@ def cmd_check(args):
 
 def cmd_solve(args):
     A, C = _require(load_matrices(args.system), args.system, "A", "C")
-    poles = _parse_poles(args.poles) if args.poles else None
-    sol = solve_constrained_sylvester(A, C, poles, args.tol)
+    sol = solve_constrained_sylvester(A, C, args.poles, args.tol)
     save_matrices(args.out, {"T": sol.T, "F": sol.F, "G": sol.G, "L": sol.L, "K": sol.K})
-    _print_report(sol.report, args.json, extra={"output": args.out})
+    _print_flat(dict(dataclasses.asdict(sol.report), output=args.out), args.json)
     return EXIT_OK
 
 
 def cmd_observe(args):
     matrices = load_matrices(args.system)
     A, B, C = _require(matrices, args.system, "A", "B", "C")
-    poles = _parse_poles(args.poles) if args.poles else None
-    plant = Plant(A, B, C)
-    obs = synthesize_observer(plant, poles, args.tol)
+    obs = synthesize_observer(Plant(A, B, C), args.poles, args.tol)
     save_matrices(
         args.out, {"F": obs.F, "G": obs.G, "P": obs.P, "T": obs.T, "W": obs.W}
     )
-    _print_report(obs.report, args.json, extra={"order": obs.order, "output": args.out})
+    _print_flat(dict(dataclasses.asdict(obs.report), order=obs.order, output=args.out),
+                args.json)
     return EXIT_OK
 
 
@@ -139,7 +147,7 @@ def _observer_from_file(path):
 def _input_from_args(args, m):
     if args.input == "zero":
         return None
-    amplitude = _parse_vector(args.amplitude, "--amplitude") if args.amplitude else [1.0] * m
+    amplitude = args.amplitude or [1.0] * m
     if args.input == "constant":
         return ConstantInput(amplitude)
     return SinusoidInput(amplitude, args.frequency, args.phase)
@@ -152,21 +160,10 @@ def cmd_simulate(args):
     if args.observer:
         obs = _observer_from_file(args.observer)
     else:
-        poles = _parse_poles(args.poles) if args.poles else None
-        obs = synthesize_observer(plant, poles, args.tol)
-
-    if args.x0:
-        x0 = _parse_vector(args.x0, "--x0")
-    elif "x0" in matrices:
-        x0 = matrices["x0"].ravel()
-    else:
-        x0 = np.zeros(plant.n)
-    if args.z0:
-        z0 = _parse_vector(args.z0, "--z0")
-    elif "z0" in matrices:
-        z0 = matrices["z0"].ravel()
-    else:
-        z0 = np.zeros(obs.order)
+        obs = synthesize_observer(plant, args.poles, args.tol)
+    # an initial state is its option's, else the file's, else zero
+    x0 = args.x0 or matrices.get("x0", np.zeros((plant.n, 1))).ravel()
+    z0 = args.z0 or matrices.get("z0", np.zeros((obs.order, 1))).ravel()
 
     cfg = SimulationConfig(
         t_final=args.t_final, dt=args.dt, input_signal=_input_from_args(args, plant.m)
@@ -180,16 +177,7 @@ def cmd_simulate(args):
         step, t = nonfinite
         print(f"warning: the trace overflows: first non-finite sample at step {step} "
               f"(t = {t:g})", file=sys.stderr)
-    metrics_doc = dict(metrics, csv=args.csv) if args.csv else dict(metrics)
-    if args.json:
-        # JSON has no NaN/inf: a diverged trace's metrics print as null
-        doc = {k: None if isinstance(v, float) and not np.isfinite(v) else v
-               for k, v in metrics_doc.items()}
-        print(json.dumps(doc, indent=2))
-    else:
-        width = max(len(k) for k in metrics_doc)
-        for key, value in metrics_doc.items():
-            print(f"{key:<{width}}  {value}")
+    _print_flat(dict(metrics, csv=args.csv) if args.csv else metrics, args.json)
 
     x0_scale = 1.0 + float(np.linalg.norm(np.asarray(x0, dtype=float)))
     decayed = metrics["decay_ratio"] < 1.0 or metrics["final_error_norm"] <= 1e-9 * x0_scale
@@ -206,32 +194,38 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_list(p, flag, convert, help):
+        p.add_argument(flag, type=_list_type(convert, flag), help=help)
+
     def add_common(p):
         p.add_argument("system", help="JSON matrix file (see README for the schema)")
         p.add_argument("--tol", type=float, default=0.0, help="absolute rank cutoff of C and of "
                        "the observability staircase; 0 selects the scale-aware default rules")
         p.add_argument("--json", action="store_true", help="machine-readable report")
 
+    # the option of every command that solves, declared once
+    poles = argparse.ArgumentParser(add_help=False)
+    add_list(poles, "--poles", lambda tok: complex(tok.replace("i", "j")),
+             "comma-separated target poles, e.g. '-1,-2+1j,-2-1j' (default: the library's)")
+
     p = sub.add_parser("check", help="detectability verdict for (A, C)")
     add_common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("solve", help="solve the constrained equation for (T, F, G)")
+    p = sub.add_parser("solve", parents=[poles],
+                       help="solve the constrained equation for (T, F, G)")
     add_common(p)
-    p.add_argument("--poles", help="comma-separated target poles, e.g. '-1,-2+1j,-2-1j'")
     p.add_argument("--out", default="solution.json", help="output matrix file")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("observe", help="synthesize the reduced-order observer")
+    p = sub.add_parser("observe", parents=[poles], help="synthesize the reduced-order observer")
     add_common(p)
-    p.add_argument("--poles", help="comma-separated target poles")
     p.add_argument("--out", default="observer.json", help="output matrix file")
     p.set_defaults(func=cmd_observe)
 
-    p = sub.add_parser("simulate", help="co-simulate plant and observer")
+    p = sub.add_parser("simulate", parents=[poles], help="co-simulate plant and observer")
     add_common(p)
     p.add_argument("--observer", help="observer matrix file (default: synthesize)")
-    p.add_argument("--poles", help="poles for inline synthesis")
     p.add_argument("--t-final", type=float, default=10.0, help="horizon in seconds")
     p.add_argument("--dt", type=float, default=1e-3, help="integrator step in seconds")
     p.add_argument(
@@ -240,11 +234,11 @@ def build_parser():
         default="zero",
         help="input signal shape",
     )
-    p.add_argument("--amplitude", help="comma-separated amplitude vector (default: ones)")
+    add_list(p, "--amplitude", float, "comma-separated amplitude vector (default: ones)")
     p.add_argument("--frequency", type=float, default=1.0, help="sinusoid rad/s")
     p.add_argument("--phase", type=float, default=0.0, help="sinusoid phase, rad")
-    p.add_argument("--x0", help="initial plant state, comma-separated")
-    p.add_argument("--z0", help="initial observer state, comma-separated")
+    add_list(p, "--x0", float, "initial plant state, comma-separated")
+    add_list(p, "--z0", float, "initial observer state, comma-separated")
     p.add_argument("--csv", help="write the trace CSV to this path")
     p.set_defaults(func=cmd_simulate)
     return parser
@@ -253,7 +247,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

@@ -33,6 +33,9 @@ before it yields the block.  ``simulate`` runs it over the whole trace.
 ``sylvobs simulate`` runs it through ``_summarize`` in a window of
 ``_BLOCK + 1`` samples, and writes and summarises each block as it comes, so
 the command never holds the whole trace and its samples are ``simulate``'s.
+One writer, ``_csv_writer``, writes every CSV: ``write_trace_csv`` gives it
+the whole trace, ``_summarize`` each block in turn, so both write the same
+bytes.
 
 The CSV holds every value as ``"{:.17g}".format`` writes it, byte for byte,
 but the text comes from a numpy kernel, ``_format_block``, about
@@ -404,21 +407,17 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
     whole trace.
 
     Returns ``error_metrics`` of the trace and the step and time of its
-    first non-finite sample, or None.  With ``csv``, a path, the trace is
-    written there as ``write_trace_csv`` writes it, byte for byte.  Every
-    check runs before the file is opened.
+    first non-finite sample, or None.  With ``csv``, a path, each block is
+    written there by ``write_trace_csv``'s writer as it comes.  Every check
+    runs before the file is opened.
     """
     window, blocks = _run(plant, obs, x0, z0, cfg, window=True)
     initial = None
     nonfinite = None
     with open(csv, "wb") if csv else nullcontext() as fh:
-        if fh is not None:
-            n, q = window.x.shape[1], window.z.shape[1]
-            fh.write(_csv_header(n, q).encode("ascii"))
-            scratch = _Scratch(2 * (n + q) + 2)
+        write_block = _csv_writer(fh.write, window) if csv else lambda block: None
         for start, block in blocks:
-            if fh is not None:
-                _write_csv_rows(fh.write, _csv_columns(block), scratch)
+            write_block(block)
             if initial is None:
                 initial = float(block.e_norms[0])
             # a non-finite x or z sample makes its e = z - T x sample
@@ -461,39 +460,44 @@ def write_trace_csv(trace, path_or_file):
     line ends on every platform; a file object gets the same text as
     ``str``.
     """
-    n, q = trace.x.shape[1], trace.z.shape[1]
-    header = _csv_header(n, q)
-    scratch = _Scratch(2 * (n + q) + 2)
     if hasattr(path_or_file, "write"):
-        path_or_file.write(header)
-        _write_csv_rows(lambda text: path_or_file.write(text.tobytes().decode("ascii")),
-                        _csv_columns(trace), scratch)
+        _csv_writer(lambda text: path_or_file.write(bytes(text).decode("ascii")), trace)(trace)
     else:
         with open(path_or_file, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            _write_csv_rows(fh.write, _csv_columns(trace), scratch)
+            _csv_writer(fh.write, trace)(trace)
 
 
-def _csv_header(n, q):
-    return ",".join(
+def _csv_writer(write, trace):
+    """Write the CSV header of traces shaped as ``trace`` through ``write``,
+    as ASCII bytes, and return the function that writes the rows of one
+    ``SimulationTrace`` (a whole trace or a block of one) through it.
+
+    Every block is formatted in the one ``_Scratch`` of the writer.
+    """
+    n, q = trace.x.shape[1], trace.z.shape[1]
+    header = (
         ["t"]
         + [f"x_{i + 1}" for i in range(n)]
         + [f"z_{i + 1}" for i in range(q)]
         + [f"e_{i + 1}" for i in range(q)]
         + [f"xhat_{i + 1}" for i in range(n)]
         + ["e_norm"]
-    ) + "\n"
-
-
-def _csv_columns(trace):
-    return (
-        trace.times[:, None],
-        trace.x,
-        trace.z,
-        trace.e,
-        trace.xhat,
-        trace.e_norms[:, None],
     )
+    write((",".join(header) + "\n").encode("ascii"))
+    scratch = _Scratch(len(header))
+
+    def write_block(block):
+        columns = (
+            block.times[:, None],
+            block.x,
+            block.z,
+            block.e,
+            block.xhat,
+            block.e_norms[:, None],
+        )
+        _write_csv_rows(write, columns, scratch)
+
+    return write_block
 
 
 def _write_csv_rows(write, columns, scratch):

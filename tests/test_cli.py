@@ -33,6 +33,15 @@ WORKED = {
 }
 
 
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not JSON."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def write_system(tmp_path, name="system.json", extra=None, **overrides):
     doc = dict(WORKED)
     doc.update(overrides)
@@ -245,6 +254,54 @@ class TestSolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("given, same", [
+        (["--poles", "-1.5,-2"], ["--poles=-1.5,-2"]),
+        (["--poles", ""], []),
+    ], ids=["negative-list", "empty-list"])
+    def test_pole_option_forms(self, tmp_path, capsys, given, same):
+        # argparse alone reads "-1.5,-2" as an unknown option, not as the
+        # value; a list with no entries selects the default targets
+        path = write_system(tmp_path, A=np.diag([1.0, 1.0], 1), B=np.ones((3, 1)),
+                            C=np.array([[1.0, 0.0, 0.0]]))
+        runs = []
+        for poles in (given, same):
+            out_path = tmp_path / "s.json"
+            assert main(["solve", path, *poles, "--out", str(out_path)]) == 0
+            runs.append((capsys.readouterr().out, out_path.read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_readme_pole_list(self, tmp_path, capsys):
+        # README's list of three targets: an observer of order 3 takes it, and
+        # on a 3-state plant with one output it parses and the solve names the
+        # count it needs
+        out_path = str(tmp_path / "s.json")
+        chain = write_system(tmp_path, "chain4.json", A=np.diag([1.0, 1.0, 1.0], 1),
+                             B=np.ones((4, 1)), C=np.array([[1.0, 0.0, 0.0, 0.0]]))
+        assert main(["solve", chain, "--poles", "-1,-2+1j,-2-1j", "--out", out_path]) == 0
+        F = load_matrices(out_path)["F"]
+        assert_allclose(np.sort_complex(np.linalg.eigvals(F)), [-2 - 1j, -2 + 1j, -1], atol=1e-8)
+        chain3 = write_system(tmp_path, "chain3.json", A=np.diag([1.0, 1.0], 1),
+                              B=np.ones((3, 1)), C=np.array([[1.0, 0.0, 0.0]]))
+        capsys.readouterr()
+        assert main(["solve", chain3, "--poles", "-1,-2+1j,-2-1j", "--out", out_path]) == 1
+        assert "desired must list 2 poles, got 3" in capsys.readouterr().err
+
+    def test_poles_without_value(self, tmp_path, capsys):
+        code = main(["solve", write_system(tmp_path), "--out", str(tmp_path / "s.json"),
+                     "--poles"])
+        assert code == 1
+        assert "argument --poles: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "observe"])
+    def test_full_measurement_json_is_strict(self, tmp_path, capsys, command):
+        # p = n: F is empty, so its spectral abscissa is -inf, which JSON
+        # cannot hold; it prints as null
+        path = write_system(tmp_path, A=np.diag([-1.0, 2.0]), B=np.ones((2, 1)), C=np.eye(2))
+        assert main([command, path, "--json", "--out", str(tmp_path / "s.json")]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        assert doc["F_spectral_abscissa"] is None
+        assert doc["T_rank"] == 0
+
 
 class TestObserve:
     def test_worked_observer_file(self, tmp_path):
@@ -420,6 +477,36 @@ class TestSimulate:
         assert code == 0
         assert doc["decay_ratio"] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
+    @pytest.mark.parametrize("in_file, flags, first", [
+        (True, ["--x0", "-4,5", "--z0", "-6"], [-4.0, 5.0, -6.0]),
+        (True, ["--x0=-4,5"], [-4.0, 5.0, 3.0]),
+        (True, ["--z0", "-6"], [1.0, 2.0, -6.0]),
+        (True, [], [1.0, 2.0, 3.0]),
+        (False, ["--z0", "-6"], [0.0, 0.0, -6.0]),
+        (False, [], [0.0, 0.0, 0.0]),
+    ], ids=["options", "x0-option", "z0-option", "file", "no-file-z0", "zeros"])
+    def test_initial_state_precedence(self, tmp_path, capsys, in_file, flags, first):
+        # each initial state is its option's, else the file's, else zero
+        extra = {"x0": np.array([[1.0], [2.0]]), "z0": np.array([[3.0]])} if in_file else None
+        path = write_system(tmp_path, extra=extra)
+        csv_path = tmp_path / "t.csv"
+        code = main(["simulate", path, "--poles", "-1", *flags, "--t-final", "1e-3",
+                     "--csv", str(csv_path)])
+        assert code == 0
+        row = np.loadtxt(csv_path, delimiter=",", skiprows=1)[0]
+        # columns: t, x_1, x_2, z_1, ...
+        assert row[1:4].tolist() == first
+
+    def test_negative_lists_are_option_values(self, tmp_path, capsys):
+        path = write_system(tmp_path)
+        runs = []
+        for flags in (["--x0", "-1,0", "--amplitude", "-1"], ["--x0=-1,0", "--amplitude=-1"]):
+            code = main(["simulate", path, "--poles", "-1", "--input", "constant", *flags,
+                         "--t-final", "1", "--json"])
+            assert code == 0
+            runs.append(json.loads(capsys.readouterr().out))
+        assert runs[0] == runs[1]
+
 
 class TestDiagnosticExit:
     def test_bad_observer_trips_exit_3(self, tmp_path, capsys):
@@ -471,12 +558,7 @@ class TestDiagnosticExit:
             tmp_path, A=np.array([[800.0, 1.0], [0.0, -1.0]]), B=np.array([[0.0], [1.0]])
         )
         code = main(["simulate", path, "--t-final", "1", "--x0=1,0", "--z0=1", "--json"])
-        out = capsys.readouterr().out
-
-        def reject(token):
-            raise ValueError(f"non-JSON constant {token}")
-
-        doc = json.loads(out, parse_constant=reject)
+        doc = strict_json(capsys.readouterr().out)
         assert code == 3
         assert doc == {
             "final_error_norm": None,
