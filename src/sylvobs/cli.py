@@ -185,46 +185,44 @@ def cmd_simulate(args):
 
 
 def build_parser():
+    # every parser takes each option by its full name only: an abbreviation
+    # such as --pole would escape _join_list_values
     parser = argparse.ArgumentParser(
         prog="sylvobs",
         description=(
             "Reduced-order observer toolkit: detectability checks, constrained "
             "Sylvester-observer solutions, observer synthesis, co-simulation."
         ),
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_list(p, flag, convert, help):
         p.add_argument(flag, type=_list_type(convert, flag), help=help)
 
-    def add_common(p):
+    def command(name, func, help, parents=()):
+        p = sub.add_parser(name, parents=parents, help=help, allow_abbrev=False)
         p.add_argument("system", help="JSON matrix file (see README for the schema)")
         p.add_argument("--tol", type=float, default=0.0, help="absolute rank cutoff of C and of "
                        "the observability staircase; 0 selects the scale-aware default rules")
         p.add_argument("--json", action="store_true", help="machine-readable report")
+        p.set_defaults(func=func)
+        return p
 
     # the option of every command that solves, declared once
     poles = argparse.ArgumentParser(add_help=False)
     add_list(poles, "--poles", lambda tok: complex(tok.replace("i", "j")),
              "comma-separated target poles, e.g. '-1,-2+1j,-2-1j' (default: the library's)")
 
-    p = sub.add_parser("check", help="detectability verdict for (A, C)")
-    add_common(p)
-    p.set_defaults(func=cmd_check)
+    command("check", cmd_check, "detectability verdict for (A, C)")
 
-    p = sub.add_parser("solve", parents=[poles],
-                       help="solve the constrained equation for (T, F, G)")
-    add_common(p)
+    p = command("solve", cmd_solve, "solve the constrained equation for (T, F, G)", [poles])
     p.add_argument("--out", default="solution.json", help="output matrix file")
-    p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("observe", parents=[poles], help="synthesize the reduced-order observer")
-    add_common(p)
+    p = command("observe", cmd_observe, "synthesize the reduced-order observer", [poles])
     p.add_argument("--out", default="observer.json", help="output matrix file")
-    p.set_defaults(func=cmd_observe)
 
-    p = sub.add_parser("simulate", parents=[poles], help="co-simulate plant and observer")
-    add_common(p)
+    p = command("simulate", cmd_simulate, "co-simulate plant and observer", [poles])
     p.add_argument("--observer", help="observer matrix file (default: synthesize)")
     p.add_argument("--t-final", type=float, default=10.0, help="horizon in seconds")
     p.add_argument("--dt", type=float, default=1e-3, help="integrator step in seconds")
@@ -240,7 +238,6 @@ def build_parser():
     add_list(p, "--x0", float, "initial plant state, comma-separated")
     add_list(p, "--z0", float, "initial observer state, comma-separated")
     p.add_argument("--csv", help="write the trace CSV to this path")
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -5,8 +5,11 @@ Plant and observer are integrated as one coupled system with state
 observer is never interpolated.  For this linear system one RK4 step is
 an affine map, s_{j+1} = M s_j + b_j with b_j = W [u(t_j); u(t_j + dt/2);
 u(t_j + dt)]; M and W are precomputed once by applying the four-stage step
-to identity columns, so the input is evaluated twice per step (at t and
-t + dt/2; u(t + dt) starts the next step).
+to identity columns, so the input is needed twice per step (at t and
+t + dt/2; u(t + dt) starts the next step).  ``ConstantInput`` and
+``SinusoidInput`` give a block's inputs in one pass over its times, each
+value bit for bit the one their call gives; any other callable, a subclass
+of either included, is called once per input time.
 
 The trace is built in blocks of ``_BLOCK`` rows.  One matmul forms a
 block's forcing rows b_j, and the recurrence is lifted over groups of
@@ -96,13 +99,18 @@ class ConstantInput:
     def __call__(self, t):
         return self.values
 
+    def _fill(self, times, out):
+        """Set row i of ``out`` to u(times[i]) for each of ``times``."""
+        out[...] = self.values
+
 
 @dataclass(frozen=True)
 class SinusoidInput:
     """u(t) = amplitude * sin(frequency * t + phase), per input channel.
 
-    ``frequency`` is in rad/s and ``phase`` in rad; ``amplitude`` is a
-    vector with one entry per input channel.
+    ``frequency`` is in rad/s and ``phase`` in rad, both finite; ``amplitude``
+    is a vector with one entry per input channel.  An angle that overflows
+    to inf is a ``ValueError`` naming its time.
     """
 
     amplitude: np.ndarray
@@ -111,9 +119,34 @@ class SinusoidInput:
 
     def __post_init__(self):
         object.__setattr__(self, "amplitude", as_vector(self.amplitude, "amplitude"))
+        for name in ("frequency", "phase"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
     def __call__(self, t):
-        return self.amplitude * math.sin(self.frequency * t + self.phase)
+        try:
+            return self.amplitude * math.sin(self.frequency * t + self.phase)
+        except ValueError:  # math.sin of an infinite angle
+            raise self._overflow(t) from None
+
+    def _fill(self, times, out):
+        """Set row i of ``out`` to u(times[i]) for each of ``times``, bit for
+        bit the call's value: the same two float operations before the sine,
+        ``math.sin`` itself (numpy's sine may round otherwise) and the same
+        product after it."""
+        with np.errstate(over="ignore"):
+            angles = self.frequency * times + self.phase
+        try:
+            sines = np.fromiter(map(math.sin, angles.tolist()), np.float64, len(angles))
+        except ValueError:
+            raise self._overflow(float(times[np.argmin(np.isfinite(angles))])) from None
+        np.multiply(sines[:, None], self.amplitude, out=out)
+
+    def _overflow(self, t):
+        return ValueError(f"the sinusoid's angle frequency * t + phase overflows at t = {t:g} "
+                          f"(frequency = {self.frequency:g})")
 
 
 @dataclass(frozen=True)
@@ -121,7 +154,9 @@ class SimulationConfig:
     """Fixed-step integration settings.
 
     ``input_signal`` is any callable t -> length-m vector; ``None``
-    means zero input.  The horizon is rounded to a whole number of
+    means zero input.  ``ConstantInput`` and ``SinusoidInput`` are sampled
+    over each block's times at once, any other callable once per input
+    time (twice per step).  The horizon is rounded to a whole number of
     steps: ``steps = round(t_final / dt) >= 1``, which must fit a numpy
     index.
     """
@@ -305,11 +340,9 @@ def _run(plant, obs, x0, z0, cfg, window=False):
     dt = cfg.dt
     _check_step_stability(plant, obs, dt)
 
-    u = cfg.input_signal
-    if u is None:
-        zero = np.zeros(m)
-        u = lambda t: zero
+    u = ConstantInput(np.zeros(m)) if cfg.input_signal is None else cfg.input_signal
     u_start = as_vector(u(0.0), "input_signal(0)", m)  # fail fast on wrong input width
+    sample = _sampler(u)
 
     # coupled linear system: d[x; z]/dt = Abig [x; z] + Bbig u(t)
     N = n + q
@@ -345,8 +378,7 @@ def _run(plant, obs, x0, z0, cfg, window=False):
                 states[0] = states[_BLOCK]
             # each distinct input time once, in time order; the even ones are
             # exactly times[lo + 1 .. hi]
-            for r, t in enumerate((np.arange(2 * lo + 1, 2 * hi + 1) * (0.5 * dt)).tolist(), 1):
-                uv[r] = u(t)
+            sample(np.arange(2 * lo + 1, 2 * hi + 1) * (0.5 * dt), uv[1 : 2 * k + 1])
             np.matmul(uv_windows[:k], W_T, out=states[a + 1 : a + k + 1])
             _recur(states[a : a + k + 1], M, M_L, c, tmp)
             uv[0] = uv[2 * k]  # u(t_hi) starts the next block
@@ -360,6 +392,23 @@ def _run(plant, obs, x0, z0, cfg, window=False):
                 xhat=trace.xhat[new], e_norms=trace.e_norms[new])
 
     return trace, blocks()
+
+
+def _sampler(u):
+    """The function ``(times, out)`` that sets row i of ``out`` to u(times[i]).
+
+    ``ConstantInput`` and ``SinusoidInput`` fill the rows in one pass.  The
+    type must match exactly: a subclass may override ``__call__``, so it is
+    called once per time like any other callable.
+    """
+    if type(u) in (ConstantInput, SinusoidInput):
+        return u._fill
+
+    def call_each(times, out):
+        for r, t in enumerate(times.tolist()):
+            out[r] = u(t)
+
+    return call_each
 
 
 def _trace_buffer(rows, n, q, flat=None):

@@ -286,6 +286,19 @@ class TestSolve:
         assert main(["solve", chain3, "--poles", "-1,-2+1j,-2-1j", "--out", out_path]) == 1
         assert "desired must list 2 poles, got 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--pole", "-1.5,-2"],
+        ["--pole=-1.5,-2"],
+        ["--pol", "-1.5,-2", "--js"],
+    ], ids=["separate", "joined", "json"])
+    def test_abbreviated_options_refused(self, tmp_path, capsys, args):
+        # each option has one spelling; an abbreviation would escape the join
+        # of a list option to a value that starts with "-"
+        path = write_system(tmp_path, A=np.diag([1.0, 1.0], 1), B=np.ones((3, 1)),
+                            C=np.array([[1.0, 0.0, 0.0]]))
+        assert main(["solve", path, *args, "--out", str(tmp_path / "s.json")]) == 1
+        assert f"unrecognized arguments: {args[0]}" in capsys.readouterr().err
+
     def test_poles_without_value(self, tmp_path, capsys):
         code = main(["solve", write_system(tmp_path), "--out", str(tmp_path / "s.json"),
                      "--poles"])
@@ -603,6 +616,19 @@ class TestDiagnosticExit:
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--phase", "inf"], "error: phase must be finite, got inf\n"),
+        (["--frequency", "nan"], "error: frequency must be finite, got nan\n"),
+        (["--frequency", "1e308"],
+         "error: the sinusoid's angle frequency * t + phase overflows at t = 1.798 "
+         "(frequency = 1e+308)\n"),
+    ], ids=["inf-phase", "nan-frequency", "overflowing-angle"])
+    def test_unusable_sinusoid_named(self, tmp_path, capsys, flags, message):
+        code = main(["simulate", write_system(tmp_path), "--poles", "-1", "--input", "sinusoid",
+                     "--t-final", "10", *flags])
+        assert code == 1
+        assert capsys.readouterr().err == message
 
     def test_amplitude_length_mismatch(self, tmp_path, capsys):
         code = main(

@@ -1,6 +1,7 @@
 import io
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from sylvobs import (
     synthesize_observer,
     write_trace_csv,
 )
-from sylvobs.simulate import _BLOCK, _CSV_VALUES, SimulationTrace, _format_g17
+from sylvobs.simulate import _BLOCK, _CSV_VALUES, SimulationTrace, _format_g17, _summarize
 
 from tests.conftest import stable_matrix
 
@@ -196,7 +197,8 @@ class TestSimulate:
         u = CountingInput(2)
         cfg = SimulationConfig(t_final=steps * 1e-3, dt=1e-3, input_signal=u)
         simulate(plant, obs, np.ones(8), np.zeros(obs.order), cfg)
-        assert u.calls <= 2 * steps + 2
+        # u(0.0) checks the input's width; then t + dt/2 and t + dt per step
+        assert u.calls == 2 * steps + 1
 
     def test_stiff_observer_step_rejected(self):
         # R(-5) = 13.7: the -5000 mode would grow 13.7x per step at dt = 1e-3
@@ -342,6 +344,83 @@ class TestSimulate:
             vals, vecs = np.linalg.eig(A)
             x_exact = (vecs @ np.diag(np.exp(vals)) @ np.linalg.solve(vecs, x0.astype(complex))).real
             assert np.linalg.norm(trace.x[-1] - x_exact) <= 1e-8 * (1.0 + np.linalg.norm(x_exact))
+
+
+class ShiftedSinusoid(SinusoidInput):
+    """A subclass with its own ``__call__``, which must be called per time."""
+
+    def __call__(self, t):
+        return super().__call__(t) + 1.0
+
+
+class TestInputGrid:
+    """``ConstantInput`` and ``SinusoidInput`` fill each block's inputs in one
+    pass; every other callable is called per input time."""
+
+    STEPS = 2 * _BLOCK + 3  # two block boundaries and a partial block
+
+    def run(self, signal, csv):
+        """The trace of ``signal`` on the seeded two-input plant, and the
+        CSV that ``sylvobs simulate`` streams of it, written to ``csv``."""
+        plant, obs = random_stable_setup(72, 8, 2, m=2)
+        x0, z0 = np.linspace(1.0, -1.0, plant.n), np.full(obs.order, 0.3)
+        cfg = SimulationConfig(t_final=self.STEPS * 1e-3, dt=1e-3, input_signal=signal)
+        trace = simulate(plant, obs, x0, z0, cfg)
+        _summarize(plant, obs, x0, z0, cfg, str(csv))
+        return trace, csv.read_bytes()
+
+    @pytest.mark.parametrize("signal", [
+        SinusoidInput([1.0, 0.5], 3.0, 0.4),
+        ConstantInput([0.7, -0.2]),
+        None,
+        ShiftedSinusoid([1.0, 0.5], 3.0, 0.4),
+    ], ids=["sinusoid", "constant", "zero", "subclass"])
+    def test_grid_is_the_per_call_path_bit_for_bit(self, tmp_path, signal):
+        per_call = (lambda t: np.zeros(2)) if signal is None else (lambda t, s=signal: s(t))
+        grid_trace, grid_csv = self.run(signal, tmp_path / "grid.csv")
+        call_trace, call_csv = self.run(per_call, tmp_path / "call.csv")
+        assert grid_trace.times.size == self.STEPS + 1
+        for field in ("times", "x", "z", "e", "xhat", "e_norms"):
+            assert getattr(grid_trace, field).tobytes() == getattr(call_trace, field).tobytes()
+        assert grid_csv == call_csv
+
+    def test_library_inputs_evaluated_per_block(self, monkeypatch, tmp_path):
+        calls = Counter()
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        for cls in (ConstantInput, SinusoidInput):
+            for method in ("__call__", "_fill"):
+                name = f"{cls.__name__}.{method}"
+                monkeypatch.setattr(cls, method, counted(name, getattr(cls, method)))
+        blocks = -(-self.STEPS // _BLOCK)
+        # a call of u(0.0) checks the input's width; then one fill per block
+        for signal, name in ((SinusoidInput([1.0, 0.5], 3.0, 0.4), "SinusoidInput"),
+                             (ConstantInput([0.7, -0.2]), "ConstantInput"),
+                             (None, "ConstantInput")):
+            calls.clear()
+            self.run(signal, tmp_path / "trace.csv")
+            assert calls == {f"{name}.__call__": 2, f"{name}._fill": 2 * blocks}
+
+    @pytest.mark.parametrize("field", ["frequency", "phase"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_sinusoid_parameter_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SinusoidInput([1.0], **{field: value})
+
+    def test_angle_overflow_named(self):
+        # 1e308 * t is finite up to t = 1.7975 and inf from the next input
+        # time on, on the grid and per call alike
+        plant, obs = worked_setup()
+        u = SinusoidInput([1.0], 1e308)
+        for signal in (u, lambda t: u(t)):
+            cfg = SimulationConfig(t_final=10.0, dt=1e-3, input_signal=signal)
+            with pytest.raises(ValueError, match=r"phase overflows at t = 1\.798 "):
+                simulate(plant, obs, [0.0, 0.0], [1.0], cfg)
 
 
 class TestMetrics:
