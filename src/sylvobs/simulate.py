@@ -45,20 +45,24 @@ but the text comes from a numpy kernel, ``_format_block``, about
 ``_CSV_VALUES`` values at a time.  ``_decimal17`` finds the 17 digits from an
 exact integer product (the mantissa times 5^q, in two 64-bit words) and
 rounds them half to even from the bits shifted out.  The layout of %g (fixed
-or exponent notation, the trailing zeros cut) is built in fixed slots, and
-one selection of the bytes that are not padding joins them.  Zero and
-magnitudes in [2^-36, 2^57) take this path.  Any other value (subnormal,
-smaller, larger, inf or nan) is formatted by ``str.format`` itself, which is
-thus both the exact path for those values and the tests' oracle.  Every
-working array of the kernel lives in a ``_Scratch``, one anonymous memory
-map per writer, so writing a CSV allocates nothing in the process heap but
-each block's text.
+or exponent notation, the trailing zeros cut) and the separator after it
+depend on the decimal exponent, the number of significant digits, the sign
+and the row end alone, so one code of the four picks each value's layout
+words from a table.  They fill fixed slots, and one selection of the bytes
+that are not padding joins them.  Zero and magnitudes in [2^-36, 2^57) take
+this path.  Any other value (subnormal, smaller, larger, inf or nan) is
+formatted by ``str.format`` itself, which is thus both the exact path for
+those values and the tests' oracle.  Every working array of the kernel
+lives in a ``_Scratch``, one anonymous memory map per writer, so writing a
+CSV allocates nothing in the process heap but each block's text.
 """
 
 import functools
 import math
 import mmap
-from contextlib import nullcontext
+import os
+import stat
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +85,7 @@ __all__ = [
 # stay far below the trace itself
 _BLOCK = 512
 # values per block of the CSV writer (see _Scratch)
-_CSV_VALUES = 4096
+_CSV_VALUES = 8192
 # steps per group of the lifted recurrence inside a block (see the module
 # docstring): sqrt(_BLOCK / 2) minimises the Python iterations per block
 _GROUP = math.isqrt(_BLOCK // 2)
@@ -458,24 +462,37 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
     Returns ``error_metrics`` of the trace and the step and time of its
     first non-finite sample, or None.  With ``csv``, a path, each block is
     written there by ``write_trace_csv``'s writer as it comes.  Every check
-    runs before the file is opened.
+    runs before the file is opened.  A run that fails after it removes a
+    regular file named by the path itself (no device, FIFO or symbolic
+    link): its rows would be a prefix of no finished trace.
     """
     window, blocks = _run(plant, obs, x0, z0, cfg, window=True)
     initial = None
     nonfinite = None
-    with open(csv, "wb") if csv else nullcontext() as fh:
-        write_block = _csv_writer(fh.write, window) if csv else lambda block: None
-        for start, block in blocks:
-            write_block(block)
-            if initial is None:
-                initial = float(block.e_norms[0])
-            # a non-finite x or z sample makes its e = z - T x sample
-            # non-finite, so the short scan of e_norms gates the row-wise scan
-            if nonfinite is None and not np.isfinite(block.e_norms).all():
-                finite = np.isfinite(block.x).all(axis=1) & np.isfinite(block.z).all(axis=1)
-                if not finite.all():
-                    row = int(np.argmin(finite))
-                    nonfinite = (start + row, float(block.times[row]))
+    fh = open(csv, "wb") if csv else nullcontext()
+    owned = False
+    try:
+        with fh:
+            if csv:
+                st = os.fstat(fh.fileno())
+                owned = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(csv))
+            write_block = _csv_writer(fh.write, window) if csv else lambda block: None
+            for start, block in blocks:
+                write_block(block)
+                if initial is None:
+                    initial = float(block.e_norms[0])
+                # a non-finite x or z sample makes its e = z - T x sample
+                # non-finite, so the short scan of e_norms gates the row-wise scan
+                if nonfinite is None and not np.isfinite(block.e_norms).all():
+                    finite = np.isfinite(block.x).all(axis=1) & np.isfinite(block.z).all(axis=1)
+                    if not finite.all():
+                        row = int(np.argmin(finite))
+                        nonfinite = (start + row, float(block.times[row]))
+    except BaseException:
+        if owned:
+            with suppress(OSError):  # the run's own error is the one to report
+                os.remove(csv)
+        raise
     return _final_metrics(initial, block), nonfinite
 
 
@@ -535,15 +552,8 @@ def _csv_writer(write, trace):
     write((",".join(header) + "\n").encode("ascii"))
     scratch = _Scratch(len(header))
 
-    def write_block(block):
-        columns = (
-            block.times[:, None],
-            block.x,
-            block.z,
-            block.e,
-            block.xhat,
-            block.e_norms[:, None],
-        )
+    def write_block(b):
+        columns = (b.times[:, None], b.x, b.z, b.e, b.xhat, b.e_norms[:, None])
         _write_csv_rows(write, columns, scratch)
 
     return write_block
@@ -575,34 +585,17 @@ def _format_g17(values):
     return b"".join(t.tobytes() for t in texts).decode("ascii")
 
 
-def _packed(texts):
-    """ASCII byte strings of at most 8 bytes as little-endian uint64 words,
-    NUL-padded: byte i of a text is bits 8i .. 8i + 7 of its word."""
-    return np.frombuffer(b"".join(t.ljust(8, b"\0") for t in texts), "<u8").astype(np.uint64)
-
-
 _U64 = np.uint64
 # binary exponents e2 (2^e2 <= |x| < 2^(e2 + 1)) that _format_block formats
 # itself: those whose scale 10^q = 5^q 2^q has q = 0 .. 27, so that 5^q fits
 # one word (5^27 < 2^64 <= 5^28).  That is |x| in [2^-36, 2^57), about
-# [1.5e-11, 1.4e17)
+# [1.5e-11, 1.4e17), of decimal exponents k = -11 .. 17
 _E2_MIN, _E2_MAX = -36, 56
+_K_MIN, _K_MAX = -11, 17
 _POW5 = np.array([5**q for q in range(28)], dtype=np.uint64)
-# the 24-byte digit field is three words; in word w, _BELOW[w, P] masks the
-# field's bytes 0 .. P - 1 and _POINT[w, P] is "." at its byte P
-_BELOW = np.array([[sum(0xFF << 8 * (j - 8 * w) for j in range(8 * w, min(P, 8 * w + 8)))
-                    for P in range(25)] for w in range(3)], dtype=np.uint64)
-_POINT = np.array([[0x2E << 8 * (P - 8 * w) if 8 * w <= P < 8 * w + 8 else 0 for P in range(25)]
-                   for w in range(3)], dtype=np.uint64)
-# the exponent ("e-05") at bytes 2 .. 5 of a slot's last word, by decimal
-# exponent k; empty where %g writes k in fixed notation (-4 <= k < 17)
-_K_MIN = -16
-_EXPONENT = _packed([b"\0\0" + b"e%+03d" % k if not -4 <= k < 17 else b""
-                     for k in range(_K_MIN, 25)])
-# sign and the "0.0.." of fixed notation below 1, by 2 * (-k) + sign bit
-_LEAD = _packed([sign + (b"0." + b"0" * (z - 1) if z else b"")
-                 for z in range(5) for sign in (b"", b"-")])
-_COMMA, _NEWLINE = _U64(ord(",") << 48), _U64(ord("\n") << 48)
+# layout codes: 4 ((k - _K_MIN) 18 + nd) + 2 (1 for a row's last value) +
+# sign bit, for nd = 0 .. 17 significant digits (0 stands for zero)
+_CODES = 72 * (_K_MAX - _K_MIN + 1)
 _LOW32 = _U64(2**32 - 1)
 
 
@@ -614,21 +607,69 @@ def _anonymous(nbytes):
 
 
 @functools.cache
-def _quad_tables():
-    """Four ASCII digits of each of 0 .. 9999 in one word, and the trailing
-    zero digits of each (4 for 0).
+def _tables():
+    """The tables of ``_format_block``: the four decimal digits of each of
+    0 .. 9999 in the four bytes of one word; for the four groups of four
+    digits and the last digit, each value's part of the layout code (the
+    largest part over the groups is the code's part 4 nd); and the words of
+    each layout code.
 
     Built on first use, so that a process that writes no CSV does not hold
     them, and kept in a map of their own: made in the heap, they would stay
     wherever the heap had room at that moment, for the life of the process.
+    No temporary of the build reaches 128 KiB: freeing one that large
+    raises glibc's threshold for giving a block a map of its own, and the
+    heap then keeps the later blocks of that size.
     """
-    table = _anonymous(9 * 10000)
-    quad, zeros = table[:80000].view(np.uint64), table[80000:]
+    table = _anonymous(8 * (10000 + 7 * _CODES) + 2 * 40010)
+    quad = table[:80000].view(np.uint64)
+    layout = table[80000 : 80000 + 56 * _CODES].view(np.uint64).reshape(7, _CODES)
+    parts = table[80000 + 56 * _CODES :].view(np.uint16)
+    group = np.arange(10000, dtype=np.uint16)
+    nd = np.zeros(10000, np.uint16)  # the digits up to the last nonzero one
     for j in range(4):
-        quad |= (np.arange(10000, dtype=np.uint64) // _U64(10 ** (3 - j)) % _U64(10)
-                 + _U64(ord("0"))) << _U64(8 * j)
-        zeros += np.arange(10000, dtype=np.uint16) % np.uint16(10 ** (j + 1)) == 0
-    return quad, zeros
+        digit = group // np.uint16(10 ** (3 - j)) % np.uint16(10)
+        quad |= digit.astype(np.uint64) << _U64(8 * j)
+        nd[digit != 0] = j + 1
+    offset = 72 * -_K_MIN
+    for i in range(4):
+        parts[10000 * i : 10000 * (i + 1)] = np.where(nd, offset + 4 * (4 * i + nd), offset)
+    parts[40000:] = [offset] + [offset + 4 * 17] * 9
+
+    code = np.arange(_CODES)
+    sign, row_end, nd, k = code % 2, code // 2 % 2, code // 4 % 18, code // 72 + _K_MIN
+    k = np.where(nd, k, 0)  # zero, whatever its k, is "0"
+    nd = np.maximum(nd, 1)
+    # the point goes before byte `point` of the digit field, whose first
+    # `keep` bytes are text.  In fixed notation (-4 <= k < 17) below 1 the
+    # point is in the lead and `point` = 17 lies past the digits
+    fixed = (-4 <= k) & (k < 17)
+    below_one = fixed & (k < 0)
+    point = np.where(below_one, 17, np.where(fixed, k + 1, 1))
+    keep = np.where(below_one, nd, np.where(nd <= point, point, nd + 1))[:, None]
+    point, byte = point[:, None], np.arange(24)
+    field = np.zeros((2, _CODES, 24), np.uint8)
+    field[0][byte >= point] = 0xFF  # the digits that move up one byte
+    field[1][byte < keep] = ord("0")
+    field[1][(byte == point) & (byte < keep)] = ord(".")
+    # the exponent and the separator follow the text of the digits, and the
+    # lead ends where it begins, so that each value's text is one run of bytes
+    field[1, code[:, None], keep + np.arange(5)] = np.frombuffer(b"".join(
+        ((b"" if f else b"e%+03d" % e) + b",\n"[r : r + 1]).ljust(5, b"\0")
+        for e, f, r in zip(k.tolist(), fixed.tolist(), row_end.tolist())), np.uint8).reshape(-1, 5)
+    layout[:6] = field.view("<u8").transpose(2, 0, 1).reshape(6, _CODES)
+    layout[6] = np.frombuffer(b"".join(
+        (b"-" * s + (b"0." + b"0" * (-e - 1) if lead else b"")).rjust(8, b"\0")
+        for s, e, lead in zip(sign.tolist(), k.tolist(), below_one.tolist())), "<u8")
+    return quad, tuple(parts[i : i + 10000] for i in range(0, 40001, 10000)), layout
+
+
+def _split(a, d, high, low):
+    """``high, low = divmod(a, d)`` of a uint64 array by a scalar: numpy's
+    floor_divide divides by a scalar with a multiplication, divmod does not."""
+    np.floor_divide(a, d, out=high)
+    np.multiply(high, d, out=low)
+    np.subtract(a, low, out=low)
 
 
 class _Scratch:
@@ -636,7 +677,7 @@ class _Scratch:
     of ``width`` values, in one anonymous memory map.
 
     ``rows`` is ``_CSV_VALUES // width`` (at least one row), so the map
-    holds 224 bytes per value, near 1 MB.  A writer makes one
+    holds 186 bytes per value, near 1.5 MB.  A writer makes one
     ``_Scratch`` and formats every block in it; the map goes back whole
     when the writer ends.  Formatting thus adds no array to the process
     heap but the text it returns: with temporaries of a few tens of KiB
@@ -645,14 +686,14 @@ class _Scratch:
     on the history of the process.
     """
 
-    # rows of each kind of working array (uint64, intp, bool)
-    _U, _I, _B = 8, 10, 7
+    # rows of each kind of working array (uint64, int64, bool, uint16)
+    _U, _I, _B, _N = 8, 5, 5, 2
 
     def __init__(self, width):
         self.width = width
         self.rows = max(1, _CSV_VALUES // width)
         size = self.rows * width
-        buf = _anonymous((8 + 32 + 8 * (self._U + self._I) + self._B + 32 + 1) * size)
+        buf = _anonymous((8 * (5 + self._U + self._I) + 1 + self._B + 2 * self._N + 32) * size)
         offset = 0
 
         def carve(dtype, count):
@@ -661,13 +702,17 @@ class _Scratch:
             offset += arr.nbytes
             return arr
 
+        # widest items first, so that every array is aligned
         self.values = carve(np.float64, size)
         self.slots = carve(np.uint64, 4 * size).reshape(size, 4)
         self.u = carve(np.uint64, self._U * size).reshape(self._U, size)
-        self.i = carve(np.intp, self._I * size).reshape(self._I, size)
+        self.i = carve(np.int64, self._I * size).reshape(self._I, size)
+        self.n = carve(np.uint16, self._N * size).reshape(self._N, size)
         self.b = carve(np.bool_, self._B * size).reshape(self._B, size)
         self.text = carve(np.bool_, 32 * size)
-        self.small = carve(np.uint8, size)
+        # each value's part of the layout code for its separator
+        self.row_end = carve(np.uint8, size)
+        self.row_end.reshape(self.rows, width)[:, -1] = 2
 
 
 def _decimal17(s, count):
@@ -685,64 +730,58 @@ def _decimal17(s, count):
     within 5e-18 relative below a power of ten, and the range has none.
 
     Leaves D in ``s.u[5]``, k in ``s.i[1]`` and whether e2 is in the range
-    in ``s.b[5]``, each over ``count`` values, and overwrites ``s.u[:8]``,
-    ``s.i[:4]`` and ``s.b[:5]``.  The other
-    values are taken with e2 clipped into the range; their D and k are of
-    no use.
+    in ``s.b[3]``, each over ``count`` values, and overwrites ``s.u[:8]``,
+    ``s.i[:4]`` and ``s.b[:3]``.  The other values are taken with e2
+    clipped into the range; their D and k are of no use.
     """
     bits = s.values[:count].view(np.uint64)
     u0, u1, u2, u3, u4, u5, u6, u7 = (a[:count] for a in s.u[:8])
+    i0, i1 = (a[:count] for a in s.u[:2].view(np.int64))
     e2, k, q, shift = (a[:count] for a in s.i[:4])
-    b0, b1, b2, b3, b4, in_range = (a[:count] for a in s.b[:6])
+    b0, b1, b2, in_range = (a[:count] for a in s.b[:4])
 
     np.right_shift(bits, _U64(52), out=u0)
     np.bitwise_and(u0, _U64(0x7FF), out=u0)
-    e2[...] = u0
-    np.subtract(e2, 1023, out=e2)
+    np.subtract(i0, 1023, out=e2)
     np.greater_equal(e2, _E2_MIN, out=in_range)
     np.less_equal(e2, _E2_MAX, out=b0)
     np.logical_and(in_range, b0, out=in_range)
-    np.clip(e2, _E2_MIN, _E2_MAX, out=e2)
+    np.maximum(e2, _E2_MIN, out=e2)
+    np.minimum(e2, _E2_MAX, out=e2)
     np.multiply(e2, 78913, out=k)
     np.right_shift(k, 18, out=k)  # floor(e2 log10 2) for |e2| < 1650
     np.subtract(16, k, out=q)
     np.subtract(e2, 52, out=shift)
     np.add(shift, q, out=shift)
-    # the product m 5^q = hi 2^64 + lo, from 32-bit halves: m in u3 (low)
-    # and u4 (high), 5^q in u5 (low) and u2 (high)
+    # the product m 5^q = hi 2^64 + lo: lo is the product modulo 2^64, and
+    # hi comes from the 32-bit halves of m (u4, u3) and 5^q (u2, u5), whose
+    # two cross products sum to less than 2^64
     np.bitwise_and(bits, _U64(2**52 - 1), out=u1)
     np.bitwise_or(u1, _U64(2**52), out=u1)
+    np.take(_POW5, q, out=u2, mode="clip")
+    np.multiply(u1, u2, out=u6)  # lo
     np.bitwise_and(u1, _LOW32, out=u3)
     np.right_shift(u1, _U64(32), out=u4)
-    np.take(_POW5, q, out=u2, mode="clip")
     np.bitwise_and(u2, _LOW32, out=u5)
     np.right_shift(u2, _U64(32), out=u2)
-    np.multiply(u3, u5, out=u6)  # lo
-    np.multiply(u3, u2, out=u7)  # cross1
-    np.multiply(u4, u5, out=u3)  # cross2
-    np.multiply(u4, u2, out=u5)  # hi
-    np.right_shift(u6, _U64(32), out=u2)  # mid
+    np.multiply(u3, u2, out=u7)
+    np.multiply(u4, u5, out=u1)
+    np.add(u7, u1, out=u7)  # cross
+    np.multiply(u3, u5, out=u3)
+    np.multiply(u4, u2, out=u5)  # hi, less the carries from below
+    np.right_shift(u3, _U64(32), out=u3)
     np.bitwise_and(u7, _LOW32, out=u4)
-    np.add(u2, u4, out=u2)
-    np.bitwise_and(u3, _LOW32, out=u4)
-    np.add(u2, u4, out=u2)
-    np.right_shift(u7, _U64(32), out=u7)
-    np.add(u5, u7, out=u5)
+    np.add(u3, u4, out=u3)
     np.right_shift(u3, _U64(32), out=u3)
     np.add(u5, u3, out=u5)
-    np.right_shift(u2, _U64(32), out=u4)
-    np.add(u5, u4, out=u5)
-    np.bitwise_and(u6, _LOW32, out=u6)
-    np.left_shift(u2, _U64(32), out=u2)
-    np.bitwise_or(u6, u2, out=u6)
+    np.right_shift(u7, _U64(32), out=u7)
+    np.add(u5, u7, out=u5)
     # |x| 10^q = (hi 2^64 + lo) 2^shift, with -62 <= shift <= 4 (and hi = 0
     # when shift > 0): the bits shifted out all lie in lo.  right in u0,
     # left in u1
     np.negative(shift, out=q)
-    np.maximum(q, 0, out=q)
-    u0[...] = q
-    np.maximum(shift, 0, out=q)
-    u1[...] = q
+    np.maximum(q, 0, out=i0)
+    np.maximum(shift, 0, out=i1)
     # digits = (hi << 1 << (63 - right) | lo >> right) << left, in u5
     np.subtract(_U64(63), u0, out=u2)
     np.left_shift(u5, _U64(1), out=u5)
@@ -750,34 +789,30 @@ def _decimal17(s, count):
     np.right_shift(u6, u0, out=u3)
     np.bitwise_or(u5, u3, out=u5)
     np.left_shift(u5, u1, out=u5)
-    # the bits dropped (u6), and half of their weight (u2)
+    # the bits dropped (u6), of weight W = 2^right (u2).  Half to even, 17
+    # digits round up when 2 dropped + (digits odd) > W.  With 18 (b0) the
+    # last digit goes too, and they round up when last + (dropped > 0 or
+    # tenth odd) > 5
     np.left_shift(_U64(1), u0, out=u2)
     np.subtract(u2, _U64(1), out=u3)
     np.bitwise_and(u6, u3, out=u6)
-    np.right_shift(u2, _U64(1), out=u2)
-    # with 18 digits (b0) the last one goes too, and it decides the
-    # rounding together with the bits below it
     np.greater_equal(u5, _U64(10**17), out=b0)
-    np.divmod(u5, _U64(10), out=(u3, u4))  # tenth, last
-    np.greater(u4, _U64(5), out=b1)
-    np.equal(u4, _U64(5), out=b2)
-    np.not_equal(u6, _U64(0), out=b3)
-    np.bitwise_and(u3, _U64(1), out=u7)
-    np.not_equal(u7, _U64(0), out=b4)
-    np.logical_or(b3, b4, out=b3)
-    np.logical_and(b2, b3, out=b2)
-    np.logical_or(b1, b2, out=b1)  # round up, with 18 digits
-    np.greater(u6, u2, out=b2)
-    np.equal(u6, u2, out=b3)
-    np.not_equal(u0, _U64(0), out=b4)
-    np.logical_and(b3, b4, out=b3)
+    _split(u5, _U64(10), u3, u4)  # tenth, last
+    np.minimum(u6, _U64(1), out=u7)
+    np.bitwise_or(u7, u3, out=u7)
+    np.bitwise_and(u7, _U64(1), out=u7)
+    np.add(u4, u7, out=u4)
+    np.greater(u4, _U64(5), out=b1)  # up18
+    np.add(u6, u6, out=u6)
     np.bitwise_and(u5, _U64(1), out=u7)
-    np.not_equal(u7, _U64(0), out=b4)
-    np.logical_and(b3, b4, out=b3)
-    np.logical_or(b2, b3, out=b2)  # round up, with 17 digits
-    np.copyto(b2, b1, where=b0)
-    np.copyto(u5, u3, where=b0)
+    np.add(u6, u7, out=u6)
+    np.greater(u6, u2, out=b2)  # up17
+    # D = digits + up17 + b0 (tenth + up18 - digits - up17), modulo 2^64
     np.add(u5, b2, out=u5)
+    np.add(u3, b1, out=u3)
+    np.subtract(u3, u5, out=u3)
+    np.multiply(u3, b0, out=u3)
+    np.add(u5, u3, out=u5)
     np.add(k, b0, out=k)
 
 
@@ -787,12 +822,17 @@ def _format_block(s, rows):
     newline after each row, as a new uint8 array.
 
     The digits come from ``_decimal17``.  Each value's text is laid out in a
-    slot of four words, with NUL bytes where %g writes nothing: the sign and
-    the "0.00" of fixed notation below 1; the 17 digits with the point after
-    digit k (fixed notation, -4 <= k < 17) or digit 0 (exponent notation),
-    cut after the last nonzero digit of the fraction; the exponent; the
-    separator.  One selection of the bytes that are not NUL joins the
-    slots.
+    slot of four words, in one run of bytes with NUL around it: the sign and
+    the "0.00" of fixed notation below 1, at the end of the first word; the
+    17 digits with the point after digit k (fixed notation, -4 <= k < 17)
+    or digit 0 (exponent notation), cut after the last nonzero digit of the
+    fraction; the exponent; the separator.  All of it but the digits depends
+    on k, the number nd of significant digits, the sign and whether the
+    value ends its row alone, so one code of the four picks from the tables
+    of ``_tables`` the lead and, for each of the three words of the digit
+    field, the mask of the digits that move up one byte to make room for
+    the point and the text that the word adds to its digits.  One selection
+    of the bytes that are not NUL joins the slots.
 
     Zero is formatted here too: a run from x0 = 0 without input writes
     little else.  The other values outside [2^-36, 2^57): subnormals,
@@ -801,105 +841,65 @@ def _format_block(s, rows):
     """
     count = rows * s.width
     _decimal17(s, count)
-    quad, quad_zeros = _quad_tables()
-    bits = s.values[:count].view(np.uint64)
-    slots = s.slots[:count]
-    u0, u1, u2, u3, u4, u5, u6, _ = (a[:count] for a in s.u)
-    sign, k, g1, g2, g3, g4, nd, idx, point, keep = (a[:count] for a in s.i)
-    b0, b1, b2, b3, _, in_range, zero = (a[:count] for a in s.b)
-    small = s.small[:count]
+    quad, parts, layout = _tables()
+    values, slots, row_end = s.values[:count], s.slots[:count], s.row_end[:count]
+    u0, u1, u2, u3, u4, u5, u6, u7 = (a[:count] for a in s.u)
+    _, _, _, i3, i4, i5, i6, i7 = (a[:count] for a in s.u.view(np.int64))
+    k, code = s.i[1, :count], s.i[4, :count]
+    b0, b1, _, in_range, zero = (a[:count] for a in s.b)
+    n0, n1 = (a[:count] for a in s.n)
 
-    np.left_shift(bits, _U64(1), out=u0)
-    np.equal(u0, _U64(0), out=zero)
-    np.copyto(k, 0, where=zero)
-    # the digits D (u5) in groups of 4 + 4 | 4 + 4 | 1, as table indices
-    # g1 .. g4 and the last digit (u2)
-    np.divmod(u5, _U64(10**9), out=(u0, u1))
-    np.divmod(u1, _U64(10), out=(u3, u2))
-    np.divmod(u0, _U64(10**4), out=(u1, u4))
-    g1[...], g2[...] = u1, u4
-    np.divmod(u3, _U64(10**4), out=(u1, u4))
-    g3[...], g4[...] = u1, u4
-    # significant digits: 17 less the trailing zeros
-    np.take(quad_zeros, g1, out=small, mode="clip")
-    np.subtract(4, small, out=nd)
-    for g, length in ((g2, 8), (g3, 12), (g4, 16)):
-        np.not_equal(g, 0, out=b0)
-        np.take(quad_zeros, g, out=small, mode="clip")
-        np.subtract(length, small, out=idx)
-        np.copyto(nd, idx, where=b0)
-    np.not_equal(u2, _U64(0), out=b0)
-    np.copyto(nd, 17, where=b0)
-    np.copyto(nd, 1, where=zero)
-    # the digits in ASCII, most significant at byte 0, in three words
-    # (u0, u3, u4)
-    np.take(quad, g1, out=u0, mode="clip")
-    np.take(quad, g2, out=u1, mode="clip")
-    np.left_shift(u1, _U64(32), out=u1)
-    np.bitwise_or(u0, u1, out=u0)
-    np.take(quad, g3, out=u3, mode="clip")
-    np.take(quad, g4, out=u1, mode="clip")
-    np.left_shift(u1, _U64(32), out=u1)
-    np.bitwise_or(u3, u1, out=u3)
-    np.add(u2, _U64(ord("0")), out=u4)
-    np.copyto(u0, _U64(ord("0")), where=zero)
+    np.equal(values, 0.0, out=zero)  # zero takes the digits 0, so nd = 0
+    np.copyto(u5, _U64(0), where=zero)
+    # the digits D (u5) in groups of 4 + 4 | 4 + 4 | 1: g1 .. g4 (u4 .. u7)
+    # and the last digit (u3)
+    _split(u5, _U64(10**9), u0, u1)
+    _split(u1, _U64(10), u2, u3)
+    _split(u0, _U64(10**4), u4, u5)
+    _split(u2, _U64(10**4), u6, u7)
+    # the code, whose part 4 nd is the largest of the groups' parts
+    np.take(parts[0], i4, out=n0, mode="clip")
+    for part, group in zip(parts[1:], (i5, i6, i7, i3)):
+        np.take(part, group, out=n1, mode="clip")
+        np.maximum(n0, n1, out=n0)
+    np.multiply(k, 72, out=code)
+    np.add(code, n0, out=code)
+    np.add(code, row_end, out=code)
+    np.signbit(values, out=b0)
+    np.add(code, b0, out=code)
+    # the digits, one per byte and the most significant at byte 0, in u0,
+    # u1 and u3; the zeros after the last significant digit are NUL
+    for word, high, low in ((u0, i4, i5), (u1, i6, i7)):
+        np.take(quad, high, out=word, mode="clip")
+        np.take(quad, low, out=u2, mode="clip")
+        np.left_shift(u2, _U64(32), out=u2)
+        np.bitwise_or(word, u2, out=word)
 
-    # the point goes before byte `point` of the digit field, which keeps its
-    # first `keep` bytes.  In fixed notation (b1) below 1 (b2) the point is
-    # in the lead and `point` = 17 lies past the digits
-    np.greater_equal(k, -4, out=b1)
-    np.less(k, 17, out=b2)
-    np.logical_and(b1, b2, out=b1)
-    np.less(k, 0, out=b2)
-    np.logical_and(b1, b2, out=b2)
-    np.add(k, 1, out=point)
-    np.logical_not(b1, out=b3)
-    np.copyto(point, 1, where=b3)
-    np.copyto(point, 17, where=b2)
-    np.add(nd, 1, out=keep)
-    np.less_equal(nd, point, out=b3)
-    np.copyto(keep, point, where=b3)
-    np.copyto(keep, nd, where=b2)
-    # the lead, by 2 * (-k below 1, else 0) + sign bit
-    np.negative(k, out=idx)
-    np.logical_not(b2, out=b3)
-    np.copyto(idx, 0, where=b3)
-    np.multiply(idx, 2, out=idx)
-    np.right_shift(bits, _U64(63), out=u1)
-    sign[...] = u1
-    np.add(idx, sign, out=idx)
-    np.take(_LEAD, idx, out=u1, mode="clip")
-    slots[:, 0] = u1
-    # bytes from `point` on move up one, the top byte of a word into the
-    # next (u6); u1 masks the bytes below the point, u2 holds those above
-    for w, word in enumerate((u0, u3, u4)):
-        np.take(_BELOW[w], point, out=u1, mode="clip")
-        np.invert(u1, out=u2)
+    np.take(layout[6], code, out=u2, mode="clip")  # the lead
+    slots[:, 0] = u2
+    # in each word the digits from the point on (u2) move up one byte:
+    # word + 255 u2 modulo 2^64, their top byte (u4) into the next word.
+    # Then the word adds "0" to each digit of the text, and the point, the
+    # exponent and the separator
+    for w, word in enumerate((u0, u1, u3)):
+        moved, added = layout[2 * w : 2 * w + 2]
+        np.take(moved, code, out=u2, mode="clip")
         np.bitwise_and(word, u2, out=u2)
-        np.bitwise_and(word, u1, out=word)
-        np.left_shift(u2, _U64(8), out=u5)
-        np.bitwise_or(word, u5, out=word)
+        np.multiply(u2, _U64(255), out=u5)
+        np.add(word, u5, out=word)
         if w:
-            np.bitwise_or(word, u6, out=word)
-        np.take(_POINT[w], point, out=u5, mode="clip")
-        np.bitwise_or(word, u5, out=word)
-        np.take(_BELOW[w], keep, out=u5, mode="clip")
-        np.bitwise_and(word, u5, out=word)
-        slots[:, 1 + w] = word
-        np.right_shift(u2, _U64(56), out=u6)
-    np.subtract(k, _K_MIN, out=idx)
-    np.take(_EXPONENT, idx, out=u1, mode="clip")
-    slots[:, 3] |= u1
+            np.bitwise_or(word, u4, out=word)
+        if w < 2:
+            np.right_shift(u2, _U64(56), out=u4)
+        np.take(added, code, out=u5, mode="clip")
+        np.bitwise_or(word, u5, out=slots[:, 1 + w])
 
-    others = np.logical_or(in_range, zero, out=b3)
-    np.logical_not(others, out=others)
-    if others.any():
-        texts = ["{:.17g}".format(v) for v in s.values[:count][others].tolist()]
+    formatted = np.logical_or(in_range, zero, out=b1)
+    if not formatted.all():
+        others = np.logical_not(formatted, out=b1)
+        texts = ["{:.17g}".format(v) for v in values[others].tolist()]
         slots[others, :3] = np.array(texts, dtype="S24").view(np.uint64).reshape(-1, 3)
-        slots[others, 3] = 0
-    separators = slots.reshape(rows, s.width, 4)[..., 3]
-    separators[:, :-1] |= _COMMA
-    separators[:, -1] |= _NEWLINE
+        slots[others, 3] = np.where(row_end[others], ord("\n"), ord(","))
     text = slots.view(np.uint8).reshape(-1)
     keep_byte = s.text[: text.size]
     np.not_equal(text, 0, out=keep_byte)

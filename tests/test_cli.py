@@ -2,8 +2,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -629,6 +631,48 @@ class TestDiagnosticExit:
                      "--t-final", "10", *flags])
         assert code == 1
         assert capsys.readouterr().err == message
+
+    @staticmethod
+    def fail_after_opening(tmp_path, csv):
+        # the angle overflows at t = 1.798, blocks after the file was opened
+        code = main(["simulate", write_system(tmp_path), "--poles", "-1", "--input", "sinusoid",
+                     "--frequency", "1e308", "--csv", str(csv)])
+        assert code == 1
+
+    def test_failed_run_leaves_no_csv(self, tmp_path, capsys):
+        csv = tmp_path / "trace.csv"
+        self.fail_after_opening(tmp_path, csv)
+        assert capsys.readouterr().err.startswith("error: the sinusoid's angle")
+        assert not csv.exists()
+
+    def test_failed_run_keeps_a_link_and_its_target(self, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"")
+        link.symlink_to(target)
+        self.fail_after_opening(tmp_path, link)
+        assert capsys.readouterr().err.startswith("error: the sinusoid's angle")
+        assert link.is_symlink() and target.read_bytes().startswith(b"t,x_1,")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_failed_run_keeps_a_fifo(self, tmp_path, capsys):
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        self.fail_after_opening(tmp_path, fifo)
+        reader.join(30)
+        assert capsys.readouterr().err.startswith("error: the sinusoid's angle")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and read[0].startswith(b"t,x_1,")
+
+    def test_failed_removal_reports_the_run_error(self, tmp_path, capsys, monkeypatch):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        csv = tmp_path / "trace.csv"
+        monkeypatch.setattr(os, "remove", refuse)
+        self.fail_after_opening(tmp_path, csv)
+        assert capsys.readouterr().err.startswith("error: the sinusoid's angle")
 
     def test_amplitude_length_mismatch(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,9 @@
 import io
+import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -609,6 +613,57 @@ class TestFormatG17:
         values = np.random.default_rng(93).standard_normal(50) * 1e3
         for block in (values[:, None], values[None, :]):
             assert _format_g17(block) == self.per_value_rows(block)
+
+    def test_every_layout_code(self):
+        # every decimal exponent k of the kernel's range, every count nd of
+        # significant digits and both signs: for each (k, nd), decimal
+        # strings are tried until the 17 digits of the nearest double are the
+        # string's own
+        rng = np.random.default_rng(95)
+        values, missing = [], []
+        for k, nd in itertools.product(range(-11, 18), range(1, 18)):
+            draws = range(1, 10) if nd == 1 else (
+                rng.integers(10 ** (nd - 2), 10 ** (nd - 1)) * 10 + rng.integers(1, 10)
+                for _ in range(200))
+            for digits in map(str, draws):
+                value = float(f"{digits[0]}.{digits[1:]}e{k}")
+                own = f"{digits[0]}.{digits[1:]:0<16}e{k:+03d}"
+                # the kernel's range ends at 2^57, about 1.44e17
+                if value < 2**57 and format(value, ".16e") == own:
+                    values.append(value)
+                    break
+            else:
+                missing.append((k, nd))
+        # no double has 17 digits of one nonzero digit and zeros at 10^-7 .. 10^-5
+        assert missing == [(-7, 1), (-6, 1), (-5, 1)]
+        values = np.array(values)
+        # each value in the middle and at the end of a row
+        signed = np.concatenate([values, -values])
+        self.assert_formats(np.stack([signed, signed], axis=1), cols=2)
+        reached = {"fixed >= 1": set(), "fixed < 1": set(), "exponent": set()}
+        for text in map("{:.17g}".format, values.tolist()):
+            mantissa, exponent = (text.split("e") + [""])[:2]
+            notation = "exponent" if exponent else (
+                "fixed < 1" if mantissa.startswith("0.") else "fixed >= 1")
+            reached[notation].add(len(mantissa.replace(".", "").strip("0")))
+        assert reached == {notation: set(range(1, 18)) for notation in reached}
+
+    def test_blocks_at_the_edges_of_a_kernel_call(self):
+        rng = np.random.default_rng(96)
+        # a row wider than a call's values is one row per call
+        wide = rng.standard_normal((3, _CSV_VALUES + 5))
+        assert _format_g17(wide) == self.per_value_rows(wide)
+        # a last call of fewer rows than the others
+        tall = rng.standard_normal((3 * (_CSV_VALUES // 7) + 5, 7)) * 1e3
+        assert _format_g17(tall) == self.per_value_rows(tall)
+
+    def test_tables_built_on_first_use(self):
+        # a process that writes no CSV holds no table of the kernel
+        check = ("import sys, sylvobs.cli; "
+                 "assert sys.modules['sylvobs.simulate']._tables.cache_info().currsize == 0")
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        subprocess.run([sys.executable, "-c", check], check=True, env=env)
 
     def test_zero_row_trace(self):
         assert _format_g17(np.empty((0, 3))) == ""
