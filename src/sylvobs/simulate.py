@@ -52,14 +52,11 @@ words from a table.  They fill fixed slots, and one selection of the bytes
 that are not padding joins them.  Zero and magnitudes in [2^-36, 2^57) take
 this path.  Any other value (subnormal, smaller, larger, inf or nan) is
 formatted by ``str.format`` itself, which is thus both the exact path for
-those values and the tests' oracle.  Every working array of the kernel
-lives in a ``_Scratch``, one anonymous memory map per writer, so writing a
-CSV allocates nothing in the process heap but each block's text.
+those values and the tests' oracle.
 """
 
 import functools
 import math
-import mmap
 import os
 import stat
 from contextlib import nullcontext, suppress
@@ -212,6 +209,8 @@ def _check_step_stability(plant, obs, dt):
     and slow oscillators pass.  Either would grow through the step alone (and
     the trace overflow to NaN), so a ``ValueError`` naming lam, h and |R| is
     raised instead.  Unstable modes are not checked: their growth is real.
+    R overflows only far outside the region, so a mode whose |R|^2 - 1 is
+    not finite is rejected too, with |R| = inf.
     """
     for source, M, hint in (
         ("plant", plant.A, "reduce dt"),
@@ -220,20 +219,22 @@ def _check_step_stability(plant, obs, dt):
         for lam in eigenvalues(M):
             if lam.real > DEFAULTS.stability:
                 continue
-            if lam.real >= -DEFAULTS.stability:
-                # on the axis |R(iy)|^2 - 1 = y^6 (y^2 - 8) / 576 exactly; the
-                # form below loses its sign to rounding for |y| below 4e-4
-                y = dt * lam.imag
-                outside = y * y > 8.0
-                gain = math.sqrt(1.0 + y**6 * (y * y - 8.0) / 576.0)
-            else:
-                z = dt * lam
-                w = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
-                # |R|^2 - 1 = 2 Re w + |w|^2, free of the rounding of |1 + w| to 1
-                # when |z| is tiny
-                outside = 2.0 * w.real + abs(w) ** 2 >= 0.0
-                gain = abs(1.0 + w)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if lam.real >= -DEFAULTS.stability:
+                    # on the axis |R(iy)|^2 - 1 = y^6 (y^2 - 8) / 576 exactly; the
+                    # form below loses its sign to rounding for |y| below 4e-4
+                    y = dt * lam.imag
+                    outside = y * y > 8.0
+                    gain = math.sqrt(1.0 + y**6 * (y * y - 8.0) / 576.0)
+                else:
+                    z = dt * lam
+                    w = z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))  # R(z) - 1
+                    # |R|^2 - 1 = 2 Re w + |w|^2, free of the rounding of |1 + w| to 1
+                    # when |z| is tiny
+                    outside = not 2.0 * w.real + abs(w) ** 2 < 0.0
+                    gain = abs(1.0 + w)
             if outside:
+                gain = gain if math.isfinite(gain) else math.inf
                 value = f"{lam.real:.6g}" if lam.imag == 0.0 else f"{lam:.6g}"
                 raise ValueError(
                     f"step dt = {dt:g} is outside the RK4 stability region for the "
@@ -356,12 +357,7 @@ def _run(plant, obs, x0, z0, cfg, window=False):
     Abig[n:, n:] = obs.F
     M, W_T, M_L = _step_maps(Abig, np.vstack([plant.B, obs.P]), dt)
 
-    rows = _BLOCK + 1 if window else steps + 1
-    # the window is an anonymous memory map of its own, returned whole when
-    # the run ends: it leaves no hole in the heap of a process that runs
-    # the command again and again
-    flat = _anonymous(8 * rows * (2 * N + 2)).view(np.float64) if window else None
-    trace, states = _trace_buffer(rows, n, q, flat)
+    trace, states = _trace_buffer(_BLOCK + 1 if window else steps + 1, n, q)
     states[0, :n] = x0
     states[0, n:] = z0
 
@@ -415,17 +411,15 @@ def _sampler(u):
     return call_each
 
 
-def _trace_buffer(rows, n, q, flat=None):
-    """A trace of ``rows`` unset samples and its [x z] state rows, cut out of
-    ``flat`` (a new array by default).
+def _trace_buffer(rows, n, q):
+    """A trace of ``rows`` unset samples and its [x z] state rows.
 
     The trace is one allocation, cut into contiguous blocks: repeated calls
     then leave fewer large freed blocks in the allocator's heap, which kept
     peak RSS higher.
     """
     N = n + q
-    if flat is None:
-        flat = np.empty(rows * (N + q + n + 2))
+    flat = np.empty(rows * (N + q + n + 2))
     states, e, xhat = (flat[rows * a : rows * b].reshape(rows, b - a)
                        for a, b in ((0, N), (N, N + q), (N + q, N + q + n)))
     e_norms = flat[rows * (N + q + n) : rows * (N + q + n + 1)]
@@ -599,13 +593,6 @@ _CODES = 72 * (_K_MAX - _K_MIN + 1)
 _LOW32 = _U64(2**32 - 1)
 
 
-def _anonymous(nbytes):
-    """``nbytes`` zero bytes in an anonymous memory map of their own, as a
-    uint8 array.  The map is returned whole when the array is dropped, and
-    the process heap never sees it."""
-    return np.frombuffer(mmap.mmap(-1, nbytes), np.uint8)
-
-
 @functools.cache
 def _tables():
     """The tables of ``_format_block``: the four decimal digits of each of
@@ -615,16 +602,13 @@ def _tables():
     each layout code.
 
     Built on first use, so that a process that writes no CSV does not hold
-    them, and kept in a map of their own: made in the heap, they would stay
-    wherever the heap had room at that moment, for the life of the process.
-    No temporary of the build reaches 128 KiB: freeing one that large
+    them.  No temporary of the build reaches 128 KiB: freeing one that large
     raises glibc's threshold for giving a block a map of its own, and the
     heap then keeps the later blocks of that size.
     """
-    table = _anonymous(8 * (10000 + 7 * _CODES) + 2 * 40010)
-    quad = table[:80000].view(np.uint64)
-    layout = table[80000 : 80000 + 56 * _CODES].view(np.uint64).reshape(7, _CODES)
-    parts = table[80000 + 56 * _CODES :].view(np.uint16)
+    quad = np.zeros(10000, np.uint64)
+    layout = np.empty((7, _CODES), np.uint64)
+    parts = np.empty(40010, np.uint16)
     group = np.arange(10000, dtype=np.uint16)
     nd = np.zeros(10000, np.uint16)  # the digits up to the last nonzero one
     for j in range(4):
@@ -674,44 +658,27 @@ def _split(a, d, high, low):
 
 class _Scratch:
     """Every working array of ``_format_block`` for blocks of ``rows`` rows
-    of ``width`` values, in one anonymous memory map.
+    of ``width`` values.
 
-    ``rows`` is ``_CSV_VALUES // width`` (at least one row), so the map
-    holds 186 bytes per value, near 1.5 MB.  A writer makes one
-    ``_Scratch`` and formats every block in it; the map goes back whole
-    when the writer ends.  Formatting thus adds no array to the process
-    heap but the text it returns: with temporaries of a few tens of KiB
-    per block, the heap's layout after a CSV, and so where later large
-    arrays land and how much memory the process peaks at, would depend
-    on the history of the process.
+    ``rows`` is ``_CSV_VALUES // width`` (at least one row), so the arrays
+    hold 186 bytes per value, near 1.5 MB.  A writer makes one
+    ``_Scratch`` and formats every block in it, so the only allocation per
+    block is the text it returns.
     """
-
-    # rows of each kind of working array (uint64, int64, bool, uint16)
-    _U, _I, _B, _N = 8, 5, 5, 2
 
     def __init__(self, width):
         self.width = width
         self.rows = max(1, _CSV_VALUES // width)
         size = self.rows * width
-        buf = _anonymous((8 * (5 + self._U + self._I) + 1 + self._B + 2 * self._N + 32) * size)
-        offset = 0
-
-        def carve(dtype, count):
-            nonlocal offset
-            arr = np.frombuffer(buf, dtype, count, offset)
-            offset += arr.nbytes
-            return arr
-
-        # widest items first, so that every array is aligned
-        self.values = carve(np.float64, size)
-        self.slots = carve(np.uint64, 4 * size).reshape(size, 4)
-        self.u = carve(np.uint64, self._U * size).reshape(self._U, size)
-        self.i = carve(np.int64, self._I * size).reshape(self._I, size)
-        self.n = carve(np.uint16, self._N * size).reshape(self._N, size)
-        self.b = carve(np.bool_, self._B * size).reshape(self._B, size)
-        self.text = carve(np.bool_, 32 * size)
+        self.values = np.empty(size)
+        self.slots = np.empty((size, 4), np.uint64)
+        self.u = np.empty((8, size), np.uint64)
+        self.i = np.empty((5, size), np.int64)
+        self.n = np.empty((2, size), np.uint16)
+        self.b = np.empty((5, size), np.bool_)
+        self.text = np.empty(32 * size, np.bool_)
         # each value's part of the layout code for its separator
-        self.row_end = carve(np.uint8, size)
+        self.row_end = np.zeros(size, np.uint8)
         self.row_end.reshape(self.rows, width)[:, -1] = 2
 
 

@@ -554,6 +554,19 @@ class TestDiagnosticExit:
         err = capsys.readouterr().err
         assert "stability region" in err and "-5000" in err
 
+    def test_overflowing_stiff_observer_step_exits_1(self, tmp_path, capsys):
+        # R(dt * -1e200) overflows: the mode is far outside the RK4 region,
+        # not a trace that overflows later
+        path = write_system(tmp_path, A=np.diag([-1.0, -2.0]))
+        obs_path = tmp_path / "stiff_obs.json"
+        save_matrices(obs_path, {"F": np.array([[-1e200]]), "G": np.ones((1, 1)),
+                                 "P": np.ones((1, 1)), "T": np.array([[0.0, 1.0]]),
+                                 "W": np.eye(2)})
+        code = main(["simulate", path, "--observer", str(obs_path), "--t-final", "0.01"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "stability region" in err and "-1e+200" in err and "= inf" in err
+
     def test_undamped_fast_plant_step_exits_1(self, tmp_path, capsys):
         # |R(5i)| = 21.5: an undamped 5000 rad/s plant mode is outside the
         # RK4 region at dt = 1e-3, which is the step's fault, not the observer's

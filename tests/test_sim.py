@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ import pytest
 from sylvobs import (
     ConstantInput,
     Plant,
+    ReducedObserver,
     SimulationConfig,
     SinusoidInput,
     check_detectability,
@@ -212,6 +214,21 @@ class TestSimulate:
             simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=1.0, dt=1e-3))
         trace = simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=0.01, dt=1e-4))
         assert np.all(np.isfinite(trace.e))
+
+    @pytest.mark.parametrize(("A", "F", "named"), [
+        (np.diag([-1e200, -1.0]), [[-1.0]], "plant eigenvalue -1e+200"),
+        (np.diag([-1.0, -2.0]), [[-1e200]], "observer eigenvalue -1e+200"),
+        (np.array([[0.0, 1e60], [-1e60, 0.0]]), [[-1.0]], "plant eigenvalue 0+1e+60j"),
+    ])
+    def test_overflowing_step_gain_rejected(self, A, F, named):
+        # |R(dt lam)|^2 - 1 overflows for |dt lam| above about 1e77, or 1e51
+        # on the imaginary axis; such a mode is far outside the region.  A
+        # stored observer, since synthesis at these scales overflows too
+        plant = Plant(A, np.ones((2, 1)), np.array([[0.0, 1.0]]))
+        obs = ReducedObserver(F=np.array(F), G=np.ones((1, 1)), P=np.ones((1, 1)),
+                              T=np.array([[1.0, 0.0]]), W=np.eye(2))
+        with pytest.raises(ValueError, match=re.escape(f"{named}: |R(dt * lam)| = inf >= 1")):
+            simulate(plant, obs, [1.0, 0.0], [0.0], SimulationConfig(t_final=0.01))
 
     def test_slow_and_lightly_damped_modes_not_rejected(self):
         # |R(dt * lam)| rounds to 1 in floating point when |dt * lam| is
@@ -499,25 +516,55 @@ class TestCsv:
         assert lines[0] == "t,x_1,x_2,z_1,e_1,xhat_1,xhat_2,e_norm"
         assert len(lines) == 1 + trace.times.size
 
-    def test_writer_heap_use_is_one_block_of_text(self, tmp_path):
-        # the kernel's working arrays live in a memory map of their own, so
-        # the heap sees one block's text at a time (at most 25 bytes per
-        # value), whatever the trace length
+    def test_writer_memory_does_not_grow_with_the_trace(self, tmp_path):
+        # the writer formats every block in one scratch of 186 bytes per value
+        # of a kernel call, and holds one block's text (at most 25 bytes per
+        # value) at a time, whatever the trace length
         rng = np.random.default_rng(94)
-        rows, n, q = 4000, 8, 6
-        trace = SimulationTrace(times=np.arange(rows) * 1e-3, x=rng.standard_normal((rows, n)),
-                                z=rng.standard_normal((rows, q)), e=rng.standard_normal((rows, q)),
-                                xhat=rng.standard_normal((rows, n)), e_norms=rng.random(rows))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, str(path))
-        tracemalloc.start()
-        try:
+        n, q = 8, 6
+        peaks = []
+        for rows in (4000, 40000):
+            trace = SimulationTrace(
+                times=np.arange(rows) * 1e-3, x=rng.standard_normal((rows, n)),
+                z=rng.standard_normal((rows, q)), e=rng.standard_normal((rows, q)),
+                xhat=rng.standard_normal((rows, n)), e_norms=rng.random(rows))
+            path = tmp_path / "trace.csv"
             write_trace_csv(trace, str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 25 * _CSV_VALUES + 16384
-        assert path.stat().st_size > 10 * peak
+            tracemalloc.start()
+            try:
+                write_trace_csv(trace, str(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 16384
+        assert max(peaks) < (186 + 25) * _CSV_VALUES + 65536
+        assert path.stat().st_size > 10 * peaks[1]
+
+    def test_streamed_run_memory_does_not_grow_with_the_horizon(self, tmp_path):
+        # sylvobs simulate --csv holds a window of _BLOCK + 1 samples and one
+        # writer, never the trace
+        plant, obs = random_stable_setup(96, 16, 2)
+        x0, z0 = np.ones(16), np.zeros(obs.order)
+        path = tmp_path / "trace.csv"
+
+        def run(t_final):
+            cfg = SimulationConfig(t_final=t_final, dt=1e-3, input_signal=SinusoidInput([0.5]))
+            _summarize(plant, obs, x0, z0, cfg, csv=str(path))
+
+        run(2.0)
+        peaks, lines = [], []
+        for t_final in (2.0, 20.0):
+            tracemalloc.start()
+            try:
+                run(t_final)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            with open(path, "rb") as fh:
+                lines.append(sum(1 for _ in fh))
+        assert peaks[1] <= peaks[0] + 65536
+        # the header and the initial sample, then 2000 and 20000 steps
+        assert lines == [2 + 2000, 2 + 20000]
 
     def test_roundtrip_exact(self):
         plant, obs = worked_setup()
