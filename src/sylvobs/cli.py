@@ -7,6 +7,7 @@ region included), 2 undetectable pair, 3 simulation diagnostic failure
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -184,7 +185,10 @@ def cmd_simulate(args):
     return EXIT_OK if decayed else EXIT_DIAGNOSTIC
 
 
+@functools.cache
 def build_parser():
+    """The one parser of the process: ``parse_args`` only reads it, and each
+    call returns a new namespace, so every ``main`` call reuses it."""
     # every parser takes each option by its full name only: an abbreviation
     # such as --pole would escape _join_list_values
     parser = argparse.ArgumentParser(
@@ -242,9 +246,9 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_join_list_values(argv))
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:

@@ -125,6 +125,19 @@ def _as_pair(A, C, names=("A", "C")):
     return A, C
 
 
+def _frobenius(M):
+    """``||M||_F`` as a float, infinite only when the norm itself is: numpy's
+    norm, and where its sum of squares overflows (entries past about 1e154),
+    the norm of ``M / max|m|`` times ``max|m|``."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(M))
+    if norm == np.inf:
+        big = float(np.max(np.abs(M)))
+        if big < np.inf:
+            norm = big * float(np.linalg.norm(M / big))
+    return norm
+
+
 def _rank_cutoff(shape, svals, tol):
     if not 0 <= tol < np.inf:
         raise ValueError("tol must be finite and >= 0")

@@ -6,8 +6,10 @@ A file is one JSON object mapping names ("A", "B", "C", optionally
     {"rows": <int>, "cols": <int>, "data": [<numbers, row-major>]}
 
 Zero-row/zero-column matrices are allowed (degenerate observers).
-Floats are serialized with shortest round-trip text, so a write/read
-cycle reproduces every entry exactly.
+``save_matrices`` writes the text of ``json.dump(doc, fh, indent=2)`` and a
+newline, as it always has: a 2-space indent, one number of ``data`` per
+line, and each float as its shortest round-trip text (``float.__repr__``),
+so a write/read cycle reproduces every entry exactly.
 """
 
 import json
@@ -15,6 +17,9 @@ import json
 import numpy as np
 
 __all__ = ["load_matrices", "save_matrices"]
+
+# the items of a data list as json.dump(..., indent=2) separates them
+_DATA = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 def _entry_to_matrix(key, entry):
@@ -59,19 +64,26 @@ def load_matrices(path):
 
 
 def save_matrices(path, named):
-    """Write named matrices (2-D arrays; vectors are stored as columns)."""
-    doc = {}
+    """Write named matrices (2-D arrays; vectors are stored as columns).
+
+    The text is the module's layout, byte for byte; each ``data`` list goes
+    through json's C encoder in one call, which ``json.dump`` with an
+    indent never uses, and the indentation around it is written here.
+    """
+    entries = []
     for key, value in named.items():
         arr = np.asarray(value, dtype=float)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise ValueError(f"matrix '{key}': must be 1-D or 2-D")
-        doc[key] = {
-            "rows": int(arr.shape[0]),
-            "cols": int(arr.shape[1]),
-            "data": [float(v) for v in arr.ravel()],
-        }
+        data = _DATA.encode(arr.ravel().tolist())
+        if arr.size:
+            data = f"[\n      {data[1:-1]}\n    ]"
+        # json's text of the key, a non-string one converted as json.dump does
+        name = json.dumps({key: 0})[1:-4]
+        entries.append(f'  {name}: {{\n    "rows": {arr.shape[0]},\n'
+                       f'    "cols": {arr.shape[1]},\n    "data": {data}\n  }}')
+    text = "{\n" + ",\n".join(entries) + "\n}\n" if entries else "{}\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

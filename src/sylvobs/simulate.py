@@ -470,7 +470,8 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
             if csv:
                 st = os.fstat(fh.fileno())
                 owned = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(csv))
-            write_block = _csv_writer(fh.write, window) if csv else lambda block: None
+            write_block, flush = (_csv_writer(fh.write, window) if csv
+                                  else (lambda block: None, lambda: None))
             for start, block in blocks:
                 write_block(block)
                 if initial is None:
@@ -482,6 +483,7 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
                     if not finite.all():
                         row = int(np.argmin(finite))
                         nonfinite = (start + row, float(block.times[row]))
+            flush()
     except BaseException:
         if owned:
             with suppress(OSError):  # the run's own error is the one to report
@@ -521,18 +523,25 @@ def write_trace_csv(trace, path_or_file):
     ``str``.
     """
     if hasattr(path_or_file, "write"):
-        _csv_writer(lambda text: path_or_file.write(bytes(text).decode("ascii")), trace)(trace)
+        fh = nullcontext()
+        write = lambda text: path_or_file.write(bytes(text).decode("ascii"))
     else:
-        with open(path_or_file, "wb") as fh:
-            _csv_writer(fh.write, trace)(trace)
+        fh = open(path_or_file, "wb")
+        write = fh.write
+    with fh:
+        write_block, flush = _csv_writer(write, trace)
+        write_block(trace)
+        flush()
 
 
 def _csv_writer(write, trace):
     """Write the CSV header of traces shaped as ``trace`` through ``write``,
     as ASCII bytes, and return the function that writes the rows of one
-    ``SimulationTrace`` (a whole trace or a block of one) through it.
+    ``SimulationTrace`` (a whole trace or a block of one) through it and
+    the function that writes the rows it still holds.
 
-    Every block is formatted in the one ``_Scratch`` of the writer.
+    Every block is formatted in the one ``_Scratch`` of the writer, and a
+    kernel call may span blocks, so a run's rows take the fewest calls.
     """
     n, q = trace.x.shape[1], trace.z.shape[1]
     header = (
@@ -550,7 +559,7 @@ def _csv_writer(write, trace):
         columns = (b.times[:, None], b.x, b.z, b.e, b.xhat, b.e_norms[:, None])
         _write_csv_rows(write, columns, scratch)
 
-    return write_block
+    return write_block, lambda: _flush_csv_rows(write, scratch)
 
 
 def _write_csv_rows(write, columns, scratch):
@@ -558,24 +567,39 @@ def _write_csv_rows(write, columns, scratch):
     ``write``, ``"{:.17g}".format`` of every value byte for byte, as uint8
     arrays of ASCII text.
 
-    The rows are copied into ``scratch`` and formatted there by
-    ``_format_block``, ``scratch.rows`` at a time.  No per-row list or
-    string is made, and the only heap allocation per block is the text
+    The rows are copied into ``scratch`` after the ``scratch.held`` rows it
+    holds, and formatted there by ``_format_block`` each time it is full;
+    ``_flush_csv_rows`` writes the rest.  No per-row list or string is
+    made, and the only heap allocation per call of the kernel is the text
     itself.
     """
-    total, step = len(columns[0]), scratch.rows
-    for lo in range(0, total, step):
-        rows = min(step, total - lo)
-        block = scratch.values[: rows * scratch.width].reshape(rows, scratch.width)
+    total, width = len(columns[0]), scratch.width
+    lo = 0
+    while lo < total:
+        held = scratch.held
+        rows = min(scratch.rows - held, total - lo)
+        block = scratch.values[held * width : (held + rows) * width].reshape(rows, width)
         np.concatenate([c[lo : lo + rows] for c in columns], axis=1, out=block)
-        write(_format_block(scratch, rows))
+        scratch.held += rows
+        lo += rows
+        if scratch.held == scratch.rows:
+            _flush_csv_rows(write, scratch)
+
+
+def _flush_csv_rows(write, scratch):
+    """Pass the CSV rows that ``scratch`` holds to ``write``, if any."""
+    if scratch.held:
+        write(_format_block(scratch, scratch.held))
+        scratch.held = 0
 
 
 def _format_g17(values):
     """CSV text of a 2-D float array, as ``_write_csv_rows`` writes it."""
     values = np.asarray(values, dtype=np.float64)
     texts = []
-    _write_csv_rows(texts.append, (values,), _Scratch(values.shape[1]))
+    scratch = _Scratch(values.shape[1])
+    _write_csv_rows(texts.append, (values,), scratch)
+    _flush_csv_rows(texts.append, scratch)
     return b"".join(t.tobytes() for t in texts).decode("ascii")
 
 
@@ -669,6 +693,7 @@ class _Scratch:
     def __init__(self, width):
         self.width = width
         self.rows = max(1, _CSV_VALUES // width)
+        self.held = 0  # rows of ``values`` not yet formatted
         size = self.rows * width
         self.values = np.empty(size)
         self.slots = np.empty((size, 4), np.uint64)

@@ -38,6 +38,7 @@ from .gains import _placement_gate, _staircase_gain
 from .linalg import (
     DEFAULTS,
     _as_pair,
+    _frobenius,
     _normalizing_transform,
     as_matrix,
     as_square,
@@ -179,7 +180,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
 
     report = verify_solution(A, C, T, F, G, tol)
     _placement_gate(report.F_spectral_abscissa)
-    scale = DEFAULTS.residual_rtol * (1.0 + float(np.linalg.norm(A)))
+    scale = DEFAULTS.residual_rtol * (1.0 + _frobenius(A))
     ok = (
         report.residual_norm <= scale
         and report.stacked_min_singular_value > DEFAULTS.min_stacked_sv
@@ -215,7 +216,7 @@ def verify_solution(A, C, T, F, G, tol=0.0):
     stacked = np.vstack([C, T])
     svals = np.linalg.svd(stacked, compute_uv=False)
     return SolveReport(
-        residual_norm=float(np.linalg.norm(residual)) if residual.size else 0.0,
+        residual_norm=_frobenius(residual),
         stacked_min_singular_value=float(svals[-1]) if svals.size else 0.0,
         F_spectral_abscissa=spectral_abscissa(F),
         T_rank=rank_tol(T, tol),

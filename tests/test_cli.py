@@ -24,7 +24,7 @@ from sylvobs import (
     verify_solution,
     write_trace_csv,
 )
-from sylvobs.cli import main
+from sylvobs.cli import build_parser, main
 from sylvobs.simulate import _BLOCK
 from tests.conftest import random_detectable_pair
 
@@ -54,7 +54,47 @@ def write_system(tmp_path, name="system.json", extra=None, **overrides):
     return str(path)
 
 
+def json_dump_text(named):
+    """The text of a matrix file as ``json.dump(doc, fh, indent=2)`` plus a
+    newline writes it."""
+    doc = {}
+    for key, value in named.items():
+        arr = np.asarray(value, dtype=float)
+        arr = arr.reshape(-1, 1) if arr.ndim == 1 else arr
+        doc[key] = {"rows": int(arr.shape[0]), "cols": int(arr.shape[1]),
+                    "data": [float(v) for v in arr.ravel()]}
+    fh = io.StringIO()
+    json.dump(doc, fh, indent=2)
+    fh.write("\n")
+    return fh.getvalue().encode("utf-8")
+
+
 class TestMatrixFiles:
+    @pytest.mark.parametrize("named", [
+        {},
+        {"A": np.zeros((0, 3)), "B": np.zeros((2, 0))},
+        {"z": [[-0.0, 5e-324, 1e300, -1e-300]]},
+        {"n": [[math.nan, math.inf], [-math.inf, 0.5]]},
+        {"\u00e9\u20ac": [[1.0]], 'q"\\\n': [[2.5]], "\U0001d400": np.eye(2)},
+        {"i": [[1, 2], [3, -4]], "big": [[2**60]]},
+        {"v": np.array([1.0, -2.0, 3.5]), "s": [7]},
+        {1: [[1.0]], 2.5: [[0.1]], True: [[0.2]], None: [[3.0]]},
+        {"r": np.random.default_rng(98).standard_normal((7, 5)) * 10.0**np.arange(-150, 200, 70)},
+    ], ids=["empty", "zero-size", "signed-zero-subnormal-huge", "nan-inf", "non-ascii-quoted",
+            "int", "vectors", "non-string-keys", "random"])
+    def test_text_is_json_dump_indent_2(self, tmp_path, named):
+        path = tmp_path / "m.json"
+        save_matrices(path, named)
+        assert path.read_bytes() == json_dump_text(named)
+
+    @pytest.mark.parametrize("command", ["solve", "observe"])
+    def test_command_files_are_json_dump_indent_2(self, tmp_path, capsys, command):
+        A, C, _ = random_detectable_pair(np.random.default_rng(99), 16, 2, n_hidden=1)
+        path = write_system(tmp_path, A=A, B=np.ones((16, 1)), C=C)
+        out_path = tmp_path / "out.json"
+        assert main([command, path, "--out", str(out_path)]) == 0
+        assert out_path.read_bytes() == json_dump_text(load_matrices(out_path))
+
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(50)
         named = {
@@ -693,6 +733,34 @@ class TestDiagnosticExit:
              "--amplitude", "1,2,3"]
         )
         assert code == 1
+
+
+class TestOneParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_observe_poles_do_not_carry_over(self, tmp_path, capsys):
+        # a chain of three states measured at one end: two observer poles
+        plant = Plant(np.diag([1.0, 1.0], 1), np.ones((3, 1)), [[1.0, 0.0, 0.0]])
+        path = write_system(tmp_path, A=plant.A, B=plant.B, C=plant.C)
+        out_path = tmp_path / "obs.json"
+        texts = []
+        for flags in (["--poles", "-3,-4"], []):
+            assert main(["observe", path, *flags, "--out", str(out_path)]) == 0
+            texts.append(out_path.read_bytes())
+        obs = synthesize_observer(plant)
+        save_matrices(out_path, {"F": obs.F, "G": obs.G, "P": obs.P, "T": obs.T, "W": obs.W})
+        assert texts[1] == out_path.read_bytes() != texts[0]
+
+    def test_simulate_x0_does_not_carry_over(self, tmp_path, capsys):
+        path = write_system(tmp_path, extra={"x0": np.array([[1.0], [2.0]])})
+        csv_path = tmp_path / "t.csv"
+        firsts = []
+        for flags in (["--x0", "-4,5"], []):
+            assert main(["simulate", path, "--poles", "-1", *flags, "--t-final", "1e-3",
+                         "--csv", str(csv_path)]) == 0
+            firsts.append(np.loadtxt(csv_path, delimiter=",", skiprows=1)[0, 1:3].tolist())
+        assert firsts == [[-4.0, 5.0], [1.0, 2.0]]
 
 
 class TestExitCodes:

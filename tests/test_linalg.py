@@ -8,7 +8,7 @@ from sylvobs import (
     rank_tol,
     spectral_abscissa,
 )
-from sylvobs.linalg import _canonical_signs, as_matrix, as_vector
+from sylvobs.linalg import _canonical_signs, _frobenius, as_matrix, as_vector
 from tests.conftest import assert_multiset_close
 
 
@@ -235,3 +235,17 @@ class TestCanonicalSigns:
         Q = np.array([[-1.0, 2.0], [0.5, -3.0]])
         _canonical_signs(Q)
         assert_allclose(Q, [[-1.0, 2.0], [0.5, -3.0]])
+
+
+class TestFrobenius:
+    def test_finite_norm_is_numpys(self):
+        rng = np.random.default_rng(97)
+        for shape in ((1, 1), (3, 5), (16, 16), (0, 4)):
+            M = rng.standard_normal(shape) * 1e150
+            assert _frobenius(M) == float(np.linalg.norm(M))
+
+    def test_overflowing_sum_of_squares(self):
+        # warnings are errors in the suite: no overflow warning is raised
+        assert _frobenius(np.full((3, 3), 1e200)) == 3e200
+        assert _frobenius(np.array([[-1e200, 0.0], [0.0, -1.0]])) == 1e200
+        assert _frobenius(np.full((2, 2), 1e308)) == np.inf

@@ -566,6 +566,32 @@ class TestCsv:
         # the header and the initial sample, then 2000 and 20000 steps
         assert lines == [2 + 2000, 2 + 20000]
 
+    def test_kernel_calls_span_blocks(self, tmp_path, monkeypatch):
+        # n = 32, p = 4: 122 columns, 67 rows a kernel call.  The rows left at
+        # the end of a block of the run go into the next block's call, so the
+        # 10,001 rows take 150 calls, not one short call per block (157)
+        sim = sys.modules["sylvobs.simulate"]  # the package's simulate is the function
+        plant, obs = random_stable_setup(71, 32, 4)
+        x0, z0 = np.ones(32), np.zeros(obs.order)
+        cfg = SimulationConfig(t_final=10.0, dt=1e-3, input_signal=SinusoidInput([0.5]))
+        calls = []
+        format_block = sim._format_block
+
+        def counted(s, rows):
+            calls.append((s.rows, rows))
+            return format_block(s, rows)
+
+        monkeypatch.setattr(sim, "_format_block", counted)
+        path = tmp_path / "trace.csv"
+        _summarize(plant, obs, x0, z0, cfg, csv=str(path))
+        per_call = calls[0][0]
+        assert per_call == 67
+        assert len(calls) == math.ceil(10001 / per_call) == 150
+        assert all(rows == per_call for _, rows in calls[:-1])
+        buf = io.StringIO()
+        write_trace_csv(simulate(plant, obs, x0, z0, cfg), buf)
+        assert path.read_bytes() == buf.getvalue().encode("ascii")
+
     def test_roundtrip_exact(self):
         plant, obs = worked_setup()
         cfg = SimulationConfig(t_final=0.2, dt=0.05, input_signal=SinusoidInput([0.3]))

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -201,6 +204,22 @@ class TestScale:
         assert np.array_equal(sol.F, [[-3.0]])
         assert sol.report.stacked_min_singular_value == pytest.approx(1.0)
 
+    def test_gate_of_huge_entries_is_finite(self, monkeypatch):
+        # ||A||_F of entries past about 1e154 overflows a plain sum of
+        # squares; the gate 1e-8 (1 + ||A||_F) stays finite (here 1e192), so
+        # the solve raises no overflow warning and a finite residual can fail
+        A, C = np.diag([-1e200, -1.0]), [[0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_constrained_sylvester(A, C)
+        assert sol.report.residual_norm == 0.0
+        assert np.array_equal(sol.F, [[-1e200]])
+        verify = sylvester.verify_solution
+        monkeypatch.setattr(sylvester, "verify_solution",
+                            lambda *args: dataclasses.replace(verify(*args), residual_norm=1e300))
+        with pytest.raises(np.linalg.LinAlgError, match="failed verification"):
+            solve_constrained_sylvester(A, C)
+
 
 class TestOrder64:
     @pytest.mark.parametrize("p, n_hidden", [(16, 0), (8, 4)])
@@ -247,6 +266,15 @@ class TestVerifyReport:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             verify_solution(A_CHAIN, C_CHAIN, [[1.0, 0.0]], [[-1.0]], [[1.0, 2.0]])
+
+    def test_huge_residual_is_finite(self):
+        # residual T A - F T = [-2e200, 0]: its norm is finite, though its
+        # square is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_solution(np.diag([-1e200, -1.0]), [[0.0, 1.0]], [[1.0, 0.0]],
+                                  [[1e200]], [[0.0]])
+        assert rep.residual_norm == 2e200
 
 
 class TestRandomRoundTrip:
