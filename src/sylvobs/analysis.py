@@ -162,23 +162,26 @@ def _row_compress(B, cutoff):
     return _canonical_signs(U), r
 
 
-def _stair_recurse(A, B, cutoff):
+def _stair_transform(A, B, cutoff):
     """Orthogonal U with U.T A U = [[Ac, X], [0, Auc]], U.T B = [B1; 0], and
     the stage ranks of Ac, whose sum is the controllable-subspace dimension;
-    every stage uses one ``cutoff``."""
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), ()
-    U1, r = _row_compress(B, cutoff)
-    if r == 0:
-        return np.eye(n), ()
-    if r == n:
-        return U1, (n,)
-    A1 = U1.T @ A @ U1
-    U2, stages = _stair_recurse(A1[r:, r:], A1[r:, :r], cutoff)
-    U = U1.copy()
-    U[:, r:] = U1[:, r:] @ U2
-    return U, (r, *stages)
+    every stage uses one ``cutoff``, and the stages' transforms compose from
+    the last out."""
+    steps, n = [], A.shape[0]
+    while n:
+        U1, r = _row_compress(B, cutoff)
+        if r == 0:
+            break
+        steps.append((U1, r))
+        n -= r
+        if n:
+            A1 = U1.T @ A @ U1
+            A, B = A1[r:, r:], A1[r:, :r]
+    U = np.eye(n)
+    for U1, r in reversed(steps):
+        U1[:, r:] = U1[:, r:] @ U
+        U = U1
+    return U, tuple(r for _, r in steps)
 
 
 def obs_decompose(A, C, tol=0.0):
@@ -246,7 +249,7 @@ def _staircase(A, C, cutoff):
     size (which upstream similarity transforms can push well above eps) as
     zero, or garbage blocks masquerade as observable directions.
     """
-    Tsim, stages = _stair_recurse(A.T, C.T, cutoff)
+    Tsim, stages = _stair_transform(A.T, C.T, cutoff)
     no = sum(stages)
     At = Tsim.T @ A @ Tsim
     Ct = C @ Tsim

@@ -16,30 +16,29 @@ its verification report, so F's spectrum is computed once.  Every target
 list, the defaults too, passes one check, ``_targets``.
 
 The assignment works on the dual state-feedback problem ``(A11.T, C1.T)``
-of that staircase, which is block upper Hessenberg on the staircase's
-stage ranks r_1 >= r_2 >= ... and fed through its first block only (cf.
-Van Dooren 1984; Miminis and Paige 1988).  Each stage takes a
-conjugate-closed share of r_i targets, in descending (real, imag) order,
-so the slowest go to the first stage.  The stages are then placed from
-the last up, each on its own r_i x r_i block: given the gain of the
-stages below, the top block that needs the least gain comes from one
-small linear solve, and the stage's share is placed on it by the per-pole
-rule.  The per-pole rule inserts one real eigenvalue, or one
+of that staircase, block upper Hessenberg on its stage ranks r_1 >= r_2
+>= ... and fed through its first block only (cf. Van Dooren 1984; Miminis
+and Paige 1988).  Each stage takes a conjugate-closed share of r_i
+targets, in descending (real, imag) order, so the slowest go to the first
+stage.  The stages are placed from the last up, each on its own r_i x r_i
+block: given the gain of the stages below, one small linear solve gives
+the top block that needs the least gain, and the per-pole rule places the
+stage's share on it.  That rule inserts one real eigenvalue, or one
 complex-conjugate pair as a real 2x2 block, as an invariant subspace of
-the closed loop, deflates it with a Householder similarity and recurses
-on the remainder.  It finds each pole's null direction from the
-least-norm input on a stage block, whose input has full row rank, if
-that input's condition number is at most 1e2; and from an SVD of the
-whole pencil on a more graded stage block and in the base case: from the
-first stage that cannot take a conjugate-closed share (odd r_i and no
-real target left, e.g. one output and complex targets) down, the rest of
-the pair is placed pole by pole whole.  Gains stay real throughout;
-repeated poles (single- or multi-output) are supported.  For p > 1 the
-gain is not unique; the result is deterministic but only the spectrum is
-contracted.
+the closed loop and deflates it with a Householder similarity, pole after
+pole; a block's last pole, on a 1x1 block, takes its gain in closed form.
+The other poles take their null direction from the least-norm input on a
+stage block, whose input has full row rank, if its condition number is
+at most 1e2, and from an SVD of the whole pencil on a more graded stage
+block and in the base case: from the first stage that cannot take a
+conjugate-closed share (odd r_i and no real target left, e.g. one output
+and complex targets) down, the pair is placed pole by pole whole.  Gains
+stay real; repeated poles are supported.  For p > 1 the gain is not
+unique; it is deterministic, but only the spectrum is contracted.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -88,31 +87,30 @@ def _targets(desired, k, stable):
     return poles, _placement_order(poles)
 
 
-def _pencil_directions(S, B):
-    """Null directions ``(X, W)`` of ``[S, B]`` (real or complex S) as the
-    columns of their state and input parts, largest state part first: one
-    SVD of the pencil for an orthonormal null basis, one of its state part
-    to order it.  Any B."""
+def _pencil_directions(S, B, k=None):
+    """The first ``k`` (default all) null directions ``(X, W)`` of ``[S, B]``
+    (real or complex S) as the columns of their state and input parts,
+    largest state part first: one SVD of the pencil for an orthonormal null
+    basis, one of its state part to order it.  Any B."""
     n, M = len(S), np.hstack([S, B])
     _, s, Vh = np.linalg.svd(M)
     N = Vh[int(np.count_nonzero(s > _rank_cutoff(M.shape, s, 0.0))):].conj().T
-    V = np.linalg.svd(N[:n])[2].conj().T
+    V = np.linalg.svd(N[:n])[2][:k].conj().T
     return N[:n] @ V, N[n:] @ V
 
 
-def _least_norm_directions(S, B):
+def _least_norm_directions(S, B, k=None):
     """``_pencil_directions`` without those of zero state part, for B of
-    full row rank (every stage block and its deflations).  The null space
-    of ``[S, B]`` is then ``{(x, -P x)}`` plus ``{0} x null(B)``, with
-    ``P = B+ S = B.T solve(B B.T, S)``, and the directions are
-    ``(x_j, -P x_j)``, ``x_j = v_j / sqrt(1 + s_j^2)`` over the right
-    singular vectors of P in ascending s: one solve and one SVD of order r.
-    ``B B.T`` is diagonal for a stage block, whose rows are orthogonal, but
-    not for its deflations: it squares their condition number, which is
-    at most that of the stage block."""
+    full row rank (every stage block and its deflations): the null space of
+    ``[S, B]`` is ``{(x, -P x)}`` plus ``{0} x null(B)``, ``P = B+ S = B.T
+    solve(B B.T, S)``, and the directions are ``(x_j, -P x_j)``, ``x_j =
+    v_j / sqrt(1 + s_j^2)`` over P's right singular vectors in ascending s:
+    one solve and one SVD of order r.  ``B B.T`` is diagonal for a stage
+    block, whose rows are orthogonal, not for its deflations: it squares
+    their condition number, which is at most the stage block's."""
     P = B.T @ np.linalg.solve(B @ B.T, S)
     _, s, Vh = np.linalg.svd(P, full_matrices=False)
-    X = Vh[::-1].conj().T / np.sqrt(1.0 + s[::-1] ** 2)
+    X = Vh[::-1][:k].conj().T / np.sqrt(1.0 + s[::-1][:k] ** 2)
     return X, -P @ X
 
 
@@ -120,42 +118,40 @@ def _insert_invariant_block(A, B, mu, directions):
     """Real F0 and an orthonormal basis U of the orthogonal complement of an
     (A + B F0)-invariant subspace, so that ``U.T (A + B F0) U`` deflates it.
 
-    The invariant subspace carries eigenvalue ``mu`` (U has n - 1 columns)
-    or the pair ``mu, conj(mu)`` (n - 2 columns, mu.imag > 0).  Derived from
-    a null vector [x; w] of [A - mu*I, B]: then A x + B w = mu x, and any
-    real F0 with F0 x = w makes x (or span{Re x, Im x}) invariant.  The
-    caller names the rule ``directions`` (``_least_norm_directions`` on a
-    stage block whose input is not graded, ``_pencil_directions`` on any
-    other pair); its columns for ``A - mu*I`` are the candidates, then for
-    a pair ``(x_j + i x_k) / sqrt(2)``.  U is the rest of one Householder
-    reflector for a real x, and of a complete QR of [Re x, Im x] for a
-    pair.
+    The subspace carries ``mu`` (U has n - 1 columns) or the pair ``mu,
+    conj(mu)`` (n - 2 columns, mu.imag > 0): a null vector [x; w] of
+    [A - mu*I, B] has A x + B w = mu x, so a real F0 with F0 x = w makes x
+    (or span{Re x, Im x}) invariant.  A real mu takes the first direction of
+    the rule ``directions``, of largest state part, and U is the rest of its
+    Householder reflector; a pair tries the rule's columns, then ``(x_j + i
+    x_k) / sqrt(2)``, and U is the rest of a complete QR of [Re x, Im x].  A
+    1 x 1 block [a] with input row b needs no rule: both give ``F0 = (mu -
+    a) b.T / (b b.T)``, from a null vector of state part ``|b| / hypot(a -
+    mu, |b|)``; b = 0 takes only ``mu == a``, with F0 = 0.
     """
     n = A.shape[0]
-    X, W = directions(A - (mu.real if mu.imag == 0.0 else mu) * np.eye(n), B)
-    candidates = zip(X.T, W.T)
-    if mu.imag != 0.0:
-        pairs = (
-            ((X[:, j] + 1j * X[:, k]) / np.sqrt(2.0), (W[:, j] + 1j * W[:, k]) / np.sqrt(2.0))
-            for j, k in itertools.combinations(range(X.shape[1]), 2)
-        )
-        candidates = itertools.chain(candidates, pairs)
-    for x, w in candidates:
-        nx = np.linalg.norm(x)
-        if nx <= 1e-12:
-            continue
-        if mu.imag == 0.0:
-            x, w = x.real, w.real
-            F0 = np.outer(w, x) / float(x @ x)
+    if n == 1:
+        d, nb = mu.real - A[0, 0], math.sqrt(B[0] @ B[0])
+        if d == nb == 0.0 or nb / math.hypot(d, nb) > 1e-12:
+            return B.T * (d / nb / nb if nb else 0.0), np.empty((1, 0))
+    elif mu.imag == 0.0:
+        x, w = (M[:, 0] for M in directions(A - mu.real * np.eye(n), B, 1))
+        xx = float(x @ x)
+        nx = math.sqrt(xx)
+        if nx > 1e-12:
             h = x / nx
-            h[0] += np.copysign(1.0, h[0])
-            return F0, np.eye(n)[:, 1:] - np.outer(h, h[1:] / abs(h[0]))
-        M2 = np.column_stack([x.real, x.imag])
-        s2 = np.linalg.svd(M2, compute_uv=False)
-        if s2[-1] <= 1e-8 * s2[0]:
-            continue
-        F0 = np.column_stack([w.real, w.imag]) @ np.linalg.pinv(M2)
-        return F0, np.linalg.qr(M2, mode="complete")[0][:, 2:]
+            h[0] += math.copysign(1.0, h[0])
+            return np.outer(w, x) / xx, np.eye(n)[:, 1:] - np.outer(h, h[1:] / abs(h[0]))
+    else:
+        X, W = directions(A - mu * np.eye(n), B)
+        pairs = (((X[:, j] + 1j * X[:, k]) / np.sqrt(2.0), (W[:, j] + 1j * W[:, k]) / np.sqrt(2.0))
+                 for j, k in itertools.combinations(range(X.shape[1]), 2))
+        for x, w in itertools.chain(zip(X.T, W.T), pairs):
+            M2 = np.column_stack([x.real, x.imag])
+            s2 = np.linalg.svd(M2, compute_uv=False)
+            if np.linalg.norm(x) > 1e-12 and s2[-1] > 1e-8 * s2[0]:
+                F0 = np.column_stack([w.real, w.imag]) @ np.linalg.pinv(M2)
+                return F0, np.linalg.qr(M2, mode="complete")[0][:, 2:]
     raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: degenerate null space")
 
 
@@ -197,16 +193,19 @@ def _placement_order(poles):
 
 
 def _place_feedback(A, B, items, directions):
-    """Real F with the spectrum of ``A + B @ F`` equal to the placement
-    ``items`` (each pair item places both members), one pole at a time by
-    the rule ``directions`` (see ``_insert_invariant_block``)."""
-    if A.shape[0] == 0:
-        return np.zeros((B.shape[1], 0))
-    F0, U = _insert_invariant_block(A, B, items[0], directions)
-    if U.shape[1] == 0:
-        return F0
-    G = _place_feedback(U.T @ (A + B @ F0) @ U, U.T @ B, items[1:], directions)
-    return F0 + G @ U.T
+    """Real F with the spectrum of ``A + B @ F`` equal to the placement ``items``
+    (a pair item places both members): one deflation per item by the rule
+    ``directions`` (``_insert_invariant_block``), the gains composed last first."""
+    F, steps = np.zeros((B.shape[1], 0)), []
+    for mu in items:
+        F, U = _insert_invariant_block(A, B, mu, directions)
+        if U.shape[1] == 0:
+            break
+        steps.append((F, U))
+        A, B = U.T @ (A + B @ F) @ U, U.T @ B
+    for F0, U in reversed(steps):
+        F = F0 + F @ U.T
+    return F
 
 
 def _take_share(items, r):

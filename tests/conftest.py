@@ -6,6 +6,9 @@ block-triangular embedding and a random orthogonal similarity, so both
 the accept and reject paths have planted, known answers.
 """
 
+import contextlib
+import sys
+
 import numpy as np
 
 from sylvobs import obs_decompose, spectral_abscissa
@@ -108,3 +111,18 @@ def assert_multiset_close(got, expected, tol=1e-6):
             f"no match for {e}: nearest {got[j]} at distance {dists[j]}"
         )
         got.pop(j)
+
+
+@contextlib.contextmanager
+def recursion_headroom(frames):
+    """Lower the recursion limit to the current stack depth plus ``frames``
+    for the block, so a call that nests a frame per stage or pole fails."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -17,6 +17,7 @@ from tests.conftest import (
     assert_multiset_close,
     random_detectable_pair,
     random_undetectable_pair,
+    recursion_headroom,
 )
 
 
@@ -162,6 +163,14 @@ class TestObservability:
 
 
 class TestStaircase:
+    def test_long_staircase_needs_no_recursion(self):
+        # one output: a stage per state, far more than the frames allowed
+        rng = np.random.default_rng(90)
+        A, C = rng.standard_normal((120, 120)), rng.standard_normal((1, 120))
+        with recursion_headroom(50):
+            verdict = check_detectability(A, C)
+        assert verdict.detectable and verdict.observability_indices == (120,)
+
     def test_observable_pair(self):
         dec = obs_decompose([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]])
         assert dec.no == 2

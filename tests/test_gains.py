@@ -25,6 +25,7 @@ from tests.conftest import (
     random_observable_pair,
     random_stable_poles,
     random_undetectable_pair,
+    recursion_headroom,
 )
 
 # the double integrator, position measured
@@ -304,7 +305,9 @@ class TestStageSplit:
 
     @staticmethod
     def record_blocks(monkeypatch):
-        # orders of the blocks the per-pole routine is handed, deflations included
+        # orders of the blocks the per-pole routine is handed: each stage's
+        # block, and the pair placed whole from the first stage that cannot
+        # take a share
         orders = []
         place = gains._place_feedback
 
@@ -334,6 +337,21 @@ class TestStageSplit:
         # the first stage has three slots and only pairs to fill them
         assert orders[0] == 6
         assert char_coeff_relerr(A + K @ C, poles) <= 1e-10
+
+    def test_long_single_output_pair_needs_no_recursion(self):
+        # one output and only complex targets: the pair is placed whole, one
+        # conjugate pair per step, on top of a stage per state
+        rng = np.random.default_rng(88)
+        lam = -0.5 - rng.uniform(0.0, 1.0, 60) + 1j * rng.uniform(0.5, 2.0, 60)
+        D = np.zeros((120, 120))
+        for j, v in enumerate(lam):
+            D[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[v.real, v.imag], [-v.imag, v.real]]
+        Q = np.linalg.qr(rng.standard_normal((120, 120)))[0]
+        A, C = Q @ D @ Q.T, rng.standard_normal((1, 120))
+        poles = np.concatenate([lam - 0.01, np.conj(lam - 0.01)])
+        with recursion_headroom(50):
+            K = place_poles(A, C, poles)
+        assert_multiset_close(eigenvalues(A + K @ C), poles, tol=1e-10)
 
     @pytest.mark.parametrize(
         "items, r, share, rest",
@@ -463,13 +481,9 @@ class TestStageRule:
             K = place_poles(A, C, poles)
             assert_multiset_close(eigenvalues(A + K @ C), poles, tol=1e-5)
 
-    @pytest.mark.parametrize("r, c", [(1, 1), (4, 4), (5, 7)])
-    def test_one_small_svd_per_pole(self, monkeypatch, r, c):
-        rng = np.random.default_rng((81, r, c))
-        H = rng.standard_normal((r + 2, r + 2))
-        B1 = rng.standard_normal((r, c))
-        K2 = rng.standard_normal((r, 2))
-        items = [complex(-1.0 - 0.5 * j) for j in range(r)]
+    @staticmethod
+    def svd_widths(monkeypatch):
+        # the widths of the matrices handed to np.linalg.svd, in call order
         widths = []
         svd = np.linalg.svd
 
@@ -478,15 +492,39 @@ class TestStageRule:
             return svd(M, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
+        return widths
+
+    @pytest.mark.parametrize("r, c", [(1, 1), (4, 4), (5, 7)])
+    def test_one_small_svd_per_pole(self, monkeypatch, r, c):
+        rng = np.random.default_rng((81, r, c))
+        H = rng.standard_normal((r + 2, r + 2))
+        B1 = rng.standard_normal((r, c))
+        K2 = rng.standard_normal((r, 2))
+        items = [complex(-1.0 - 0.5 * j) for j in range(r)]
+        widths = self.svd_widths(monkeypatch)
         F = gains._stage_gain(H, B1, K2, items)
         monkeypatch.undo()
-        # one SVD of the r_k x r_k least-norm map per pole, never one of the
+        # one SVD of the r_k x r_k least-norm map per pole but the last,
+        # which is placed on a 1 x 1 block in closed form; never one of the
         # r_k x (r_k + c) pencil
-        assert widths == list(range(r, 0, -1))
+        assert widths == list(range(r, 1, -1))
         Hcl = H.copy()
         Hcl[:r] += B1 @ F
         lower = H[r:, r:] + H[r:, :r] @ K2
         assert_multiset_close(eigenvalues(Hcl), [*items, *eigenvalues(lower)], tol=1e-8)
+
+    def test_single_output_stages_need_no_svd(self, monkeypatch):
+        # with one output every stage block is 1 x 1, and real targets put
+        # one pole on each in closed form
+        A, C = random_observable_pair(np.random.default_rng(86), 6, 1)
+        dec = obs_decompose(A, C)
+        assert dec.stages == (1,) * 6
+        poles = default_stable_poles(6)
+        widths = self.svd_widths(monkeypatch)
+        K = gains._stage_feedback(dec.A11.T, dec.C1.T, dec.stages, gains._placement_order(poles)).T
+        monkeypatch.undo()
+        assert widths == []
+        assert_multiset_close(eigenvalues(dec.A11 + K @ dec.C1), poles, tol=1e-8)
 
     def test_base_case_takes_any_input(self, monkeypatch):
         # the first stage has three slots and only pairs to fill them, so the
@@ -499,17 +537,62 @@ class TestStageRule:
         B = b @ np.ones((1, 3))
         poles = [-1 + 1j, -1 - 1j, -2 + 0.5j, -2 - 0.5j]
         seen = []
-        place = gains._place_feedback
+        insert = gains._insert_invariant_block
 
-        def recorded(A, B, items, directions):
+        def recorded(A, B, mu, directions):
             seen.append((B.shape, np.linalg.matrix_rank(B), directions))
-            return place(A, B, items, directions)
+            return insert(A, B, mu, directions)
 
-        monkeypatch.setattr(gains, "_place_feedback", recorded)
+        monkeypatch.setattr(gains, "_insert_invariant_block", recorded)
         F = gains._stage_feedback(A, B, (3, 1), gains._placement_order(np.array(poles)))
         assert ((2, 3), 1, gains._pencil_directions) in seen
         assert all(rule is gains._pencil_directions for *_, rule in seen)
         assert char_coeff_relerr(A + B @ F, poles) <= 1e-10
+
+
+class TestClosedForm:
+    """The last pole of a block, on a 1 x 1 block [a] with input row b, has
+    the gain (mu - a) b.T / (b b.T) under both direction rules."""
+
+    RULES = [gains._least_norm_directions, gains._pencil_directions]
+
+    @pytest.mark.parametrize("rule", RULES, ids=["least-norm", "pencil"])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_matches_generic_step(self, rule, m):
+        rng = np.random.default_rng((87, m))
+        for _ in range(50):
+            a, b = rng.standard_normal((1, 1)), rng.standard_normal((1, m))
+            mu = rng.standard_normal()
+            F0, U = gains._insert_invariant_block(a, b, complex(mu), rule)
+            X, W = rule(a - mu, b)
+            x, w = X[:, 0], W[:, 0]
+            F0_ref = np.outer(w, x) / (x @ x)
+            # relative to the generic step's own round-off: eps on the unit
+            # null vector, so eps (1 + |F0|) over its state part |x| in F0
+            assert U.shape == (1, 0)
+            scale = (1.0 + np.linalg.norm(F0_ref)) / np.linalg.norm(x)
+            assert np.linalg.norm(F0 - F0_ref) <= 1e-14 * scale
+            assert abs(a + b @ F0 - mu) <= 1e-14 * (1.0 + abs(a) + abs(mu))
+
+    def test_zero_input_fixed_pole(self):
+        # no rule is consulted on a 1 x 1 block
+        a, B = np.array([[-2.0]]), np.zeros((1, 3))
+        F0, U = gains._insert_invariant_block(a, B, -2.0 + 0j, None)
+        assert F0.shape == (3, 1) and not F0.any() and U.shape == (1, 0)
+
+    @pytest.mark.parametrize("b", [0.0, 1e-13], ids=["zero", "tiny"])
+    def test_no_state_part_raises(self, b):
+        # the generic step's null vector has a state part of at most 1e-12
+        a, B, mu = np.array([[1.0]]), np.full((1, 2), b), -1.0 + 0j
+        assert np.linalg.norm(gains._pencil_directions(a - mu.real, B)[0]) <= 1e-12
+        message = r"cannot assign eigenvalue .* degenerate null space"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            gains._insert_invariant_block(a, B, mu, gains._pencil_directions)
+
+    def test_small_state_part_is_placed(self):
+        a, B = np.array([[1.0]]), np.full((1, 2), 1e-11)
+        F0, _ = gains._insert_invariant_block(a, B, -1.0 + 0j, gains._least_norm_directions)
+        assert_allclose(a + B @ F0, [[-1.0]], rtol=1e-12)
 
 
 class TestStabilizingGain:
