@@ -32,8 +32,8 @@ from .linalg import (
     _EPS,
     _as_pair,
     _canonical_signs,
+    _eigenvalues,
     _output_basis,
-    eigenvalues,
 )
 
 __all__ = [
@@ -128,8 +128,8 @@ def check_detectability(A, C, tol=0.0):
     be observable to pass.  With a zero C every mode is hidden.
     """
     dec = _decompose(*_as_pair(A, C), tol)
-    hidden = eigenvalues(dec.A22)
-    merged = sorted([*eigenvalues(dec.A11), *hidden], key=lambda v: (-v.real, -v.imag))
+    hidden = _eigenvalues(dec.A22)
+    merged = sorted([*_eigenvalues(dec.A11), *hidden], key=lambda v: (-v.real, -v.imag))
     match = DEFAULTS.eig_match
     per = [
         EigAnalysis(
@@ -219,7 +219,7 @@ def _obs_split(A, C, tol):
     AN = A @ N
     A22 = N.T @ AN
     A12 = Q @ AN
-    cutoff = tol if tol > 0 else np.sqrt(_EPS) * np.linalg.norm(A, 2)
+    cutoff = tol if tol > 0 else np.sqrt(_EPS) * np.linalg.svd(A, compute_uv=False)[0]
     return U, s, Q, N, A22, A12, _staircase(A22, A12, cutoff)
 
 

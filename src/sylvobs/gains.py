@@ -26,13 +26,16 @@ the top block that needs the least gain, and the per-pole rule places the
 stage's share on it.  That rule inserts one real eigenvalue, or one
 complex-conjugate pair as a real 2x2 block, as an invariant subspace of
 the closed loop and deflates it with a Householder similarity, pole after
-pole; a block's last pole, on a 1x1 block, takes its gain in closed form.
-The other poles take their null direction from the least-norm input on a
-stage block, whose input has full row rank, if its condition number is
-at most 1e2, and from an SVD of the whole pencil on a more graded stage
-block and in the base case: from the first stage that cannot take a
-conjugate-closed share (odd r_i and no real target left, e.g. one output
-and complex targets) down, the pair is placed pole by pole whole.  Gains
+pole.  A pole takes its null direction from the least-norm input on a
+stage block, whose input has full row rank, if its condition number is at
+most 1e2, with one SVD of order r, and from an SVD of the whole pencil on
+a more graded stage block and in the base case: from the first stage that
+cannot take a conjugate-closed share (odd r_i and no real target left,
+e.g. one output and complex targets) down, the pair is placed pole by
+pole whole.  Two steps need no SVD.  A block's last pole, on a 1x1 block,
+takes its gain in closed form, and a real pole on a 2x2 block takes its
+least-norm direction from one Jacobi rotation of a 2x2 Gram matrix, so a
+stage block of order r >= 2 with real targets makes r - 2 SVDs.  Gains
 stay real; repeated poles are supported.  For p > 1 the gain is not
 unique; it is deterministic, but only the spectrum is contracted.
 """
@@ -43,7 +46,7 @@ import math
 import numpy as np
 
 from .analysis import _decompose, _undetectable, _unstable_hidden_modes
-from .linalg import DEFAULTS, _as_pair, _rank_cutoff, eigenvalues, spectral_abscissa
+from .linalg import DEFAULTS, _as_pair, _eigenvalues, _rank_cutoff, _spectral_abscissa
 
 __all__ = ["default_stable_poles", "place_poles", "stabilizing_gain"]
 
@@ -135,13 +138,18 @@ def _insert_invariant_block(A, B, mu, directions):
         if d == nb == 0.0 or nb / math.hypot(d, nb) > 1e-12:
             return B.T * (d / nb / nb if nb else 0.0), np.empty((1, 0))
     elif mu.imag == 0.0:
-        x, w = (M[:, 0] for M in directions(A - mu.real * np.eye(n), B, 1))
+        S = A.copy()
+        S.flat[:: n + 1] -= mu.real
+        X, W = directions(S, B, 1)
+        x = X[:, 0]
         xx = float(x @ x)
         nx = math.sqrt(xx)
         if nx > 1e-12:
             h = x / nx
             h[0] += math.copysign(1.0, h[0])
-            return np.outer(w, x) / xx, np.eye(n)[:, 1:] - np.outer(h, h[1:] / abs(h[0]))
+            U = np.outer(h, h[1:] / -abs(h[0]))
+            U.flat[n - 1 :: n] += 1.0
+            return np.outer(W[:, 0], x) / xx, U
     else:
         X, W = directions(A - mu * np.eye(n), B)
         pairs = (((X[:, j] + 1j * X[:, k]) / np.sqrt(2.0), (W[:, j] + 1j * W[:, k]) / np.sqrt(2.0))
@@ -153,6 +161,40 @@ def _insert_invariant_block(A, B, mu, directions):
                 F0 = np.column_stack([w.real, w.imag]) @ np.linalg.pinv(M2)
                 return F0, np.linalg.qr(M2, mode="complete")[0][:, 2:]
     raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: degenerate null space")
+
+
+def _least_eigenpair(a, b, c):
+    """The least eigenvalue of the symmetric ``[[a, b], [b, c]]`` and a unit
+    eigenvector ``(v0, v1)`` for it, from the one Jacobi rotation that
+    diagonalizes the matrix."""
+    if b == 0.0:
+        return (a, 1.0, 0.0) if a <= c else (c, 0.0, 1.0)
+    theta = (c - a) / (2.0 * b)
+    t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
+    cs = 1.0 / math.sqrt(1.0 + t * t)
+    if a - t * b <= c + t * b:
+        return a - t * b, cs, -t * cs
+    return c + t * b, t * cs, cs
+
+
+def _least_norm_order_two(A, B, mu):
+    """``_insert_invariant_block`` of a real ``mu`` on a 2 x 2 block by the
+    least-norm rule, in closed form.  With ``S = A - mu I`` and ``P = B.T
+    solve(B B.T, S)``, the rule's direction is the right singular vector v
+    of P's least singular value s: the least eigenvector of the Gram matrix
+    ``P.T P``, with eigenvalue s^2.  Its state part ``1 / sqrt(1 + s^2)``
+    must exceed 1e-12, as the rule's must.  Then ``F0 = -P v v.T``, and U,
+    the rest of v's Householder reflector, is ``sign(v0) [-v1, v0]``."""
+    S = A.copy()
+    S.flat[::3] -= mu
+    P = B.T @ np.linalg.solve(B @ B.T, S)
+    (a, b), (_, c) = (P.T @ P).tolist()
+    ss, v0, v1 = _least_eigenpair(a, b, c)
+    if 1.0 / math.sqrt(1.0 + max(ss, 0.0)) <= 1e-12:
+        raise np.linalg.LinAlgError(f"cannot assign eigenvalue {complex(mu)}: degenerate null space")
+    v = np.array([v0, v1])
+    sign = math.copysign(1.0, v0)
+    return np.outer(P @ v, -v), np.array([[-sign * v1], [sign * v0]])
 
 
 def _placement_order(poles):
@@ -195,10 +237,14 @@ def _placement_order(poles):
 def _place_feedback(A, B, items, directions):
     """Real F with the spectrum of ``A + B @ F`` equal to the placement ``items``
     (a pair item places both members): one deflation per item by the rule
-    ``directions`` (``_insert_invariant_block``), the gains composed last first."""
+    ``directions`` (``_insert_invariant_block``; ``_least_norm_order_two``
+    for a real pole on a 2 x 2 block), the gains composed last first."""
     F, steps = np.zeros((B.shape[1], 0)), []
     for mu in items:
-        F, U = _insert_invariant_block(A, B, mu, directions)
+        if A.shape[0] == 2 and mu.imag == 0.0 and directions is _least_norm_directions:
+            F, U = _least_norm_order_two(A, B, mu.real)
+        else:
+            F, U = _insert_invariant_block(A, B, mu, directions)
         if U.shape[1] == 0:
             break
         steps.append((F, U))
@@ -289,7 +335,7 @@ def _stage_gain(H, B1, K2, items):
     E = K2 @ H[r:] - H[:r]
     EZt = E[:, :r] - E[:, r:] @ K2.T
     D = -np.linalg.solve(np.eye(r) + K2 @ K2.T, EZt.T).T
-    norms = np.linalg.norm(B1, axis=1)
+    norms = np.sqrt(np.add.reduce(B1 * B1, axis=1))
     graded = norms.max() > _LEAST_NORM_COND * norms.min()
     directions = _pencil_directions if graded else _least_norm_directions
     D += B1 @ _place_feedback(D, B1, items, directions)
@@ -298,10 +344,28 @@ def _stage_gain(H, B1, K2, items):
     return B1.T @ np.linalg.solve(B1 @ B1.T, E)
 
 
+def _char_poly(roots):
+    """Coefficients of ``prod(x - roots)``, highest power first, in the dtype
+    of ``roots``: one in-place product per root, as ``np.poly`` forms them."""
+    a = np.zeros(roots.size + 1, roots.dtype)
+    a[0] = 1.0
+    for k, z in enumerate(roots.tolist()):
+        a[1 : k + 2] -= z * a[: k + 1]
+    return a
+
+
 def _verify_assignment(Acl, poles):
-    target = np.real(np.poly(poles))
-    achieved = np.real(np.atleast_1d(np.poly(Acl)))
-    err = np.max(np.abs(achieved - target)) / max(1.0, np.max(np.abs(target)))
+    """The coefficient gate: the characteristic coefficients of ``Acl`` must
+    match those of ``poles`` to ``_COEFF_GATE`` relative.  Where they
+    overflow, the error is not finite, and ``np.poly``'s coefficients, whose
+    NaNs differ from the product loop's, give the verdict they always gave."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        roots = np.linalg.eigvals(Acl)
+        for char_poly in (_char_poly, np.poly):
+            target, achieved = np.real(char_poly(poles)), np.real(char_poly(roots))
+            err = np.max(np.abs(achieved - target)) / max(1.0, np.max(np.abs(target)))
+            if math.isfinite(err):
+                break
     if err > _COEFF_GATE:
         raise np.linalg.LinAlgError(
             f"eigenvalue assignment failed verification (coefficient error {err:.2e})"
@@ -369,11 +433,11 @@ def stabilizing_gain(Ao, Co, desired=None, tol=0.0):
     """
     A, C = _as_pair(Ao, Co, ("Ao", "Co"))
     dec = _decompose(A, C, tol)
-    offending = _unstable_hidden_modes(eigenvalues(dec.A22))
+    offending = _unstable_hidden_modes(_eigenvalues(dec.A22))
     if offending:
         raise _undetectable(offending)
     K = _staircase_gain(A, C, dec, desired)
-    _placement_gate(spectral_abscissa(A + K @ C))
+    _placement_gate(_spectral_abscissa(A + K @ C))
     return K
 
 

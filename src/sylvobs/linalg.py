@@ -153,7 +153,11 @@ def rank_tol(M, tol=0.0):
     With ``tol == 0`` the cutoff is ``max(rows, cols) * eps * sigma_max``;
     a positive ``tol`` is used directly as an absolute cutoff.
     """
-    A = as_matrix(M, allow_empty=True)
+    return _rank(as_matrix(M, allow_empty=True), tol)
+
+
+def _rank(A, tol):
+    """``rank_tol`` of a validated matrix."""
     if A.size == 0:
         return 0
     s = np.linalg.svd(A, compute_uv=False)
@@ -167,7 +171,11 @@ def eigenvalues(M):
     descending imaginary part, so output is deterministic and complex
     values appear in conjugate pairs (``+i`` member first).
     """
-    A = as_square(M, allow_empty=True)
+    return _eigenvalues(as_square(M, allow_empty=True))
+
+
+def _eigenvalues(A):
+    """``eigenvalues`` of a validated square matrix."""
     if A.shape[0] == 0:
         return np.zeros(0, dtype=complex)
     vals = np.linalg.eigvals(A).astype(complex)
@@ -180,7 +188,11 @@ def spectral_abscissa(M):
 
     A square matrix is Hurwitz stable iff this is negative.
     """
-    A = as_square(M, allow_empty=True)
+    return _spectral_abscissa(as_square(M, allow_empty=True))
+
+
+def _spectral_abscissa(A):
+    """``spectral_abscissa`` of a validated square matrix."""
     if A.shape[0] == 0:
         return float("-inf")
     return float(np.max(np.linalg.eigvals(A).real))

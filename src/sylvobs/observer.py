@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_pair, as_matrix, as_vector, rank_tol
+from .linalg import _as_pair, _rank, as_matrix, as_vector
 from .sylvester import SolveReport, solve_constrained_sylvester
 
 __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
@@ -32,7 +32,7 @@ class Plant:
         B = as_matrix(self.B, "B")
         if B.shape[0] != A.shape[0]:
             raise ValueError(f"B must have {A.shape[0]} rows, got {B.shape[0]}")
-        if rank_tol(C) < C.shape[0]:
+        if _rank(C, 0.0) < C.shape[0]:
             raise ValueError("C must have full row rank")
         for name, M in (("A", A), ("B", B), ("C", C)):
             M = M.view()
@@ -130,7 +130,8 @@ def synthesize_observer(plant, desired=None, tol=0.0):
     P = sol.T @ plant.B
     p = plant.p
     W = np.hstack([sol.L[:, :p] - sol.L[:, p:] @ sol.K, sol.L[:, p:]])
-    stacked = np.vstack([plant.C, sol.T])
-    if np.linalg.norm(W @ stacked - np.eye(plant.n)) > 1e-6 * plant.n:
+    residual = W @ np.vstack([plant.C, sol.T])
+    residual.flat[:: plant.n + 1] -= 1.0
+    if np.linalg.norm(residual) > 1e-6 * plant.n:
         raise np.linalg.LinAlgError("recombination matrix failed verification")
     return ReducedObserver(F=sol.F, G=sol.G, P=P, T=sol.T, W=W, report=sol.report)

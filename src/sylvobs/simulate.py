@@ -212,14 +212,14 @@ def _check_step_stability(plant, obs, dt):
     R overflows only far outside the region, so a mode whose |R|^2 - 1 is
     not finite is rejected too, with |R| = inf.
     """
-    for source, M, hint in (
-        ("plant", plant.A, "reduce dt"),
-        ("observer", obs.F, "reduce dt or choose slower observer poles"),
-    ):
-        for lam in eigenvalues(M):
-            if lam.real > DEFAULTS.stability:
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for source, M, hint in (
+            ("plant", plant.A, "reduce dt"),
+            ("observer", obs.F, "reduce dt or choose slower observer poles"),
+        ):
+            for lam in eigenvalues(M):
+                if lam.real > DEFAULTS.stability:
+                    continue
                 if lam.real >= -DEFAULTS.stability:
                     # on the axis |R(iy)|^2 - 1 = y^6 (y^2 - 8) / 576 exactly; the
                     # form below loses its sign to rounding for |y| below 4e-4
@@ -233,14 +233,14 @@ def _check_step_stability(plant, obs, dt):
                     # when |z| is tiny
                     outside = not 2.0 * w.real + abs(w) ** 2 < 0.0
                     gain = abs(1.0 + w)
-            if outside:
-                gain = gain if math.isfinite(gain) else math.inf
-                value = f"{lam.real:.6g}" if lam.imag == 0.0 else f"{lam:.6g}"
-                raise ValueError(
-                    f"step dt = {dt:g} is outside the RK4 stability region for the "
-                    f"{source} eigenvalue {value}: |R(dt * lam)| = {gain:.6g} >= 1; "
-                    f"{hint}"
-                )
+                if outside:
+                    gain = gain if math.isfinite(gain) else math.inf
+                    value = f"{lam.real:.6g}" if lam.imag == 0.0 else f"{lam:.6g}"
+                    raise ValueError(
+                        f"step dt = {dt:g} is outside the RK4 stability region for the "
+                        f"{source} eigenvalue {value}: |R(dt * lam)| = {gain:.6g} >= 1; "
+                        f"{hint}"
+                    )
 
 
 def _step_maps(Abig, Bbig, dt):

@@ -38,14 +38,14 @@ from .gains import _placement_gate, _staircase_gain
 from .linalg import (
     DEFAULTS,
     _as_pair,
+    _eigenvalues,
     _frobenius,
     _normalizing_transform,
+    _rank,
+    _spectral_abscissa,
     as_matrix,
     as_square,
-    eigenvalues,
     output_normalizing_transform,
-    rank_tol,
-    spectral_abscissa,
 )
 
 __all__ = [
@@ -132,7 +132,7 @@ def _split(A, C, tol):
     U, s, Q, N, A22, A12, dec = _obs_split(A, C, tol)
     if s.size < C.shape[0]:
         raise ValueError("C must have full row rank")
-    offending = _unstable_hidden_modes(eigenvalues(dec.A22))
+    offending = _unstable_hidden_modes(_eigenvalues(dec.A22))
     if offending:
         return None, offending
     return (U, s, Q, _normalizing_transform(U, s, Q, N), A22, A12, dec), offending
@@ -218,6 +218,6 @@ def verify_solution(A, C, T, F, G, tol=0.0):
     return SolveReport(
         residual_norm=_frobenius(residual),
         stacked_min_singular_value=float(svals[-1]) if svals.size else 0.0,
-        F_spectral_abscissa=spectral_abscissa(F),
-        T_rank=rank_tol(T, tol),
+        F_spectral_abscissa=_spectral_abscissa(F),
+        T_rank=_rank(T, tol),
     )

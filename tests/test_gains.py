@@ -279,6 +279,32 @@ class TestGates:
         ):
             gains._verify_assignment(np.diag([-1.0, -2.0]), np.array([-1.0, -3.0]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_coefficient_gate_keeps_poly_verdicts(self):
+        # the product loop's verdict is np.poly's, raise or pass, including
+        # where the coefficients overflow (their error is NaN, which passes)
+        rng = np.random.default_rng(90)
+        for n in (8, 64):
+            A, C = random_observable_pair(rng, n, n // 4)
+            poles = random_stable_poles(rng, n)
+            Acl = A + place_poles(A, C, poles) @ C
+            assert gate_passes(Acl, poles) and poly_gate_passes(Acl, poles)
+            Acl += 1e-3 * rng.standard_normal((n, n))
+            assert not gate_passes(Acl, poles) and not poly_gate_passes(Acl, poles)
+        # 128 targets of modulus about 1e3, placed exactly and with an error
+        angles = rng.uniform(0.5, 3.0, 64)
+        Acl, poles = with_spectrum(rng, 1e3 * np.exp(1j * angles), [])
+        for M in (Acl, Acl + 1e-3 * rng.standard_normal((128, 128))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert not np.all(np.isfinite(np.poly(poles)))
+            assert gate_passes(M, poles) and poly_gate_passes(M, poles)
+        # finite targets and a spectrum whose coefficients overflow: np.poly
+        # turns more of their infinities into NaN than the product loop does
+        poles = np.array([-1.0, -2.0, -3.0], dtype=complex)
+        for scale in (1e110, 1e130, 1e150, 1e200):
+            Acl, _ = with_spectrum(rng, scale * np.array([-0.5 + 1.0j]), [scale])
+            assert gate_passes(Acl, poles) == poly_gate_passes(Acl, poles)
+
     def test_stabilization_gate(self, monkeypatch):
         # a zero gain on the observable block leaves A's unstable mode in place
         monkeypatch.setattr(
@@ -287,6 +313,34 @@ class TestGates:
         )
         with pytest.raises(np.linalg.LinAlgError, match="^stabilization failed verification$"):
             stabilizing_gain([[1.0, 1.0], [0.0, -1.0]], [[1.0, 0.0]])
+
+
+def poly_gate_passes(Acl, poles):
+    """The coefficient gate's verdict with both polynomials from np.poly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        target = np.real(np.poly(poles))
+        achieved = np.real(np.atleast_1d(np.poly(Acl)))
+        err = np.max(np.abs(achieved - target)) / max(1.0, np.max(np.abs(target)))
+    return not err > gains._COEFF_GATE
+
+
+def gate_passes(Acl, poles):
+    try:
+        gains._verify_assignment(Acl, poles)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def with_spectrum(rng, pairs, reals):
+    """A random orthogonal similarity of the real block-diagonal matrix with
+    the conjugate ``pairs`` (+imag members) and the ``reals`` as spectrum."""
+    n = 2 * len(pairs) + len(reals)
+    D = np.diag(np.concatenate([np.repeat(np.real(pairs), 2), reals]))
+    for j, v in enumerate(pairs):
+        D[2 * j, 2 * j + 1], D[2 * j + 1, 2 * j] = v.imag, -v.imag
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ D @ Q.T, np.concatenate([pairs, np.conj(pairs), reals]).astype(complex)
 
 
 def ackermann_gain(A, C, poles):
@@ -504,10 +558,10 @@ class TestStageRule:
         widths = self.svd_widths(monkeypatch)
         F = gains._stage_gain(H, B1, K2, items)
         monkeypatch.undo()
-        # one SVD of the r_k x r_k least-norm map per pole but the last,
-        # which is placed on a 1 x 1 block in closed form; never one of the
-        # r_k x (r_k + c) pencil
-        assert widths == list(range(r, 1, -1))
+        # one SVD of the r_k x r_k least-norm map per pole but the last two,
+        # which are placed on a 2 x 2 and a 1 x 1 block in closed form; never
+        # one of the r_k x (r_k + c) pencil
+        assert widths == list(range(r, 2, -1))
         Hcl = H.copy()
         Hcl[:r] += B1 @ F
         lower = H[r:, r:] + H[r:, :r] @ K2
@@ -593,6 +647,71 @@ class TestClosedForm:
         a, B = np.array([[1.0]]), np.full((1, 2), 1e-11)
         F0, _ = gains._insert_invariant_block(a, B, -1.0 + 0j, gains._least_norm_directions)
         assert_allclose(a + B @ F0, [[-1.0]], rtol=1e-12)
+
+
+class TestOrderTwo:
+    """A real pole on a 2 x 2 block takes the least-norm rule's direction in
+    closed form, from the least eigenvector of the 2 x 2 Gram matrix of P."""
+
+    @staticmethod
+    def general(A, B, items):
+        # the rule's step, with its SVD, then the 1 x 1 closed form
+        rule = gains._least_norm_directions
+        F0, U = gains._insert_invariant_block(A, B, items[0], rule)
+        F1, _ = gains._insert_invariant_block(U.T @ (A + B @ F0) @ U, U.T @ B, items[1], rule)
+        return F0 + F1 @ U.T
+
+    @staticmethod
+    def record_directions(monkeypatch):
+        # the first entry v0 of each direction the closed form takes
+        seen = []
+        pair = gains._least_eigenpair
+
+        def recorded(*gram):
+            result = pair(*gram)
+            seen.append(result[1])
+            return result
+
+        monkeypatch.setattr(gains, "_least_eigenpair", recorded)
+        return seen
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("near", [False, True], ids=["far", "near"])
+    def test_matches_general_rule(self, monkeypatch, m, near):
+        rng = np.random.default_rng((89, m, near))
+        seen = self.record_directions(monkeypatch)
+        for j in range(50):
+            A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, m))
+            if near:
+                # real eigenvalues, the poles within about 1e-3 of one of them
+                lam, V = rng.standard_normal(2), rng.standard_normal((2, 2))
+                A = V @ np.diag(lam) @ np.linalg.inv(V)
+                mus = lam[0] + 1e-3 * rng.standard_normal(2)
+            else:
+                mus = 3.0 * rng.standard_normal(2)
+            items = [complex(v) for v in mus]
+            F = gains._place_feedback(A, B, items, gains._least_norm_directions)
+            assert len(seen) == j + 1
+            expected = self.general(A, B, items)
+            assert np.linalg.norm(F - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert char_coeff_relerr(A + B @ F, mus) <= 1e-10
+        assert min(seen) < 0.0 < max(seen)
+
+    @pytest.mark.parametrize("b", [1e-12, 1e-13])
+    def test_no_state_part_raises(self, b):
+        # the singular values of P = B+ (A - mu I) are 2 / b and 3 / b, so
+        # every null direction has a state part of at most b / 2
+        A, B, mu = np.diag([1.0, 2.0]), b * np.eye(2, 3), -1.0 + 0j
+        message = r"^cannot assign eigenvalue \(-1\+0j\): degenerate null space$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            gains._insert_invariant_block(A, B, mu, gains._least_norm_directions)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            gains._place_feedback(A, B, [mu, -2.0 + 0j], gains._least_norm_directions)
+
+    def test_small_state_part_is_placed(self):
+        A, B = np.diag([1.0, 2.0]), 1e-10 * np.eye(2)
+        F = gains._place_feedback(A, B, [-1.0 + 0j, -2.0 + 0j], gains._least_norm_directions)
+        assert_multiset_close(eigenvalues(A + B @ F), [-1.0, -2.0], tol=1e-8)
 
 
 class TestStabilizingGain:
