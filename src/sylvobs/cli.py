@@ -122,7 +122,7 @@ def cmd_check(args):
 def cmd_solve(args):
     A, C = _require(load_matrices(args.system), args.system, "A", "C")
     sol = solve_constrained_sylvester(A, C, args.poles, args.tol)
-    save_matrices(args.out, {"T": sol.T, "F": sol.F, "G": sol.G, "L": sol.L, "K": sol.K})
+    save_matrices(args.out, {"T": sol.T, "F": sol.F, "G": sol.G, "W": sol.W})
     _print_flat(dict(dataclasses.asdict(sol.report), output=args.out), args.json)
     return EXIT_OK
 

@@ -220,12 +220,6 @@ def _output_basis(C, tol=0.0):
     return U[:, :r], s[:r], Vh[:r], _canonical_signs(Vh[r:].T)
 
 
-def _normalizing_transform(U, s, Q, N):
-    """``L = [Q.T diag(1/s) U.T | N]`` from a full-row-rank ``_output_basis``,
-    so that ``C @ L = [I_p, 0]`` and ``inv(L) = [C; N.T]``."""
-    return np.hstack([(Q.T / s) @ U.T, N])
-
-
 def output_normalizing_transform(C, tol=0.0):
     """Invertible n x n basis change L with ``C @ L = [I_p, 0]``.
 
@@ -239,4 +233,4 @@ def output_normalizing_transform(C, tol=0.0):
     U, s, Q, N = _output_basis(C, tol)
     if s.size < C.shape[0]:
         raise ValueError("C must have full row rank")
-    return _normalizing_transform(U, s, Q, N)
+    return np.hstack([(Q.T / s) @ U.T, N])

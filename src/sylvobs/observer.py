@@ -114,10 +114,8 @@ def synthesize_observer(plant, desired=None, tol=0.0):
     """Build the order-(n-p) observer for a detectable plant.
 
     Solves the constrained equation for (T, F, G) and sets P = T @ B.
-    The solve gives ``[C; T] = [[I, 0], [K, I]] @ inv(L)``, so
-    W = inv([C; T]) = L @ [[I, 0], [-K, I]] is formed once, in closed
-    form, and checked against [C; T].  The solve's verification report is
-    kept as ``report``.
+    The solve's W = inv([C; T]) is checked against [C; T], and its
+    verification report is kept as ``report``.
 
     Raises
     ------
@@ -128,10 +126,8 @@ def synthesize_observer(plant, desired=None, tol=0.0):
         plant = Plant(*plant)
     sol = solve_constrained_sylvester(plant.A, plant.C, desired, tol)
     P = sol.T @ plant.B
-    p = plant.p
-    W = np.hstack([sol.L[:, :p] - sol.L[:, p:] @ sol.K, sol.L[:, p:]])
-    residual = W @ np.vstack([plant.C, sol.T])
+    residual = sol.W @ np.vstack([plant.C, sol.T])
     residual.flat[:: plant.n + 1] -= 1.0
     if np.linalg.norm(residual) > 1e-6 * plant.n:
         raise np.linalg.LinAlgError("recombination matrix failed verification")
-    return ReducedObserver(F=sol.F, G=sol.G, P=P, T=sol.T, W=W, report=sol.report)
+    return ReducedObserver(F=sol.F, G=sol.G, P=P, T=sol.T, W=sol.W, report=sol.report)

@@ -10,16 +10,15 @@ computes each fact once, on one orthogonal split (cf. Van Dooren 1984,
 the observability split every verdict of the package uses (``analysis``):
 
 1. one SVD ``C = U diag(s) Q`` is the rank check and gives an
-   orthonormal basis N of the null space of C and ``L = [pinv(C), N]``,
-   bit for bit the ``output_normalizing_transform`` of C;
+   orthonormal basis N of the null space of C;
 2. one observability staircase of the reduced pair ``(N.T A N, Q A N)``,
    at the cutoff ``tol`` or ``sqrt(eps) * ||A||``: its unobservable block
    gives the detectability verdict, raised before anything else is kept,
    and the poles are placed on its observable block, stage by stage on
    the staircase's own stages (``gains``), giving Kq with
    ``F = N.T A N + Kq Q A N`` Hurwitz stable;
-3. assemble ``T = Kq Q + N.T`` and G; with ``K = Kq diag(1/s) U.T``,
-   ``[C; T] = [[I, 0], [K, I]] @ inv(L)``;
+3. assemble ``T = Kq Q + N.T`` and G; as ``T N = I`` and ``C N = 0``,
+   ``W = inv([C; T]) = [(Q.T - N Kq) diag(1/s) U.T, N]`` in closed form;
 4. verify (T, F, G): the spectral abscissa of F in the report goes
    through the placement gate of ``gains`` ("stabilization failed
    verification", as in ``stabilizing_gain``), then the residual,
@@ -40,7 +39,6 @@ from .linalg import (
     _as_pair,
     _eigenvalues,
     _frobenius,
-    _normalizing_transform,
     _rank,
     _spectral_abscissa,
     as_matrix,
@@ -70,14 +68,14 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class SylvesterSolution:
-    """Solution triple (T, F, G), the transform L and gain K that produced
-    it, and the verification report the solve accepted it on."""
+    """Solution triple (T, F, G), the recombination matrix
+    ``W = inv([C; T])``, and the verification report the solve accepted
+    it on."""
 
     T: np.ndarray
     F: np.ndarray
     G: np.ndarray
-    L: np.ndarray
-    K: np.ndarray
+    W: np.ndarray
     report: SolveReport
 
 
@@ -122,9 +120,9 @@ def partition_by_output(A, C, tol=0.0):
 
 
 def _split(A, C, tol):
-    """The observability split of ``analysis``, C's full row rank and L.
+    """The observability split of ``analysis`` and C's full row rank.
 
-    Returns ``((U, s, Q, L, A22, A12, dec), [])`` for a detectable pair,
+    Returns ``((U, s, Q, N, A22, A12, dec), [])`` for a detectable pair,
     with ``A22 = N.T A N``, ``A12 = Q A N`` and ``dec`` their staircase,
     and ``(None, offending)`` otherwise, so that the caller raises holding
     none of these arrays.
@@ -135,7 +133,7 @@ def _split(A, C, tol):
     offending = _unstable_hidden_modes(_eigenvalues(dec.A22))
     if offending:
         return None, offending
-    return (U, s, Q, _normalizing_transform(U, s, Q, N), A22, A12, dec), offending
+    return (U, s, Q, N, A22, A12, dec), offending
 
 
 def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
@@ -156,7 +154,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
     -------
     SylvesterSolution
         With n == p the solution is the empty one: T, F, G have zero
-        rows and the stacked constraint reduces to det C != 0.  Its
+        rows, det C != 0 and W = inv(C).  Its
         ``report`` is the ``verify_solution`` report it passed.
 
     Raises
@@ -169,13 +167,12 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
     split, offending = _split(A, C, tol)
     if split is None:
         raise _undetectable(offending)
-    U, s, Q, L, A22, A12, dec = split
+    U, s, Q, N, A22, A12, dec = split
 
     Kq = _staircase_gain(A22, A12, dec, desired)
     F = A22 + Kq @ A12
-    T = Kq @ Q + L[:, C.shape[0]:].T
-    # C = U diag(s) Q: K C = Kq Q, and G = T A pinv(C) - F K
-    K = Kq / s @ U.T
+    T = Kq @ Q + N.T
+    # C = U diag(s) Q and T Q.T = Kq: G = (T A - F T) pinv(C)
     G = (T @ A @ Q.T - F @ Kq) / s @ U.T
 
     report = verify_solution(A, C, T, F, G, tol)
@@ -190,7 +187,9 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
         raise np.linalg.LinAlgError(
             f"constructed solution failed verification: {report}"
         )
-    return SylvesterSolution(T=T, F=F, G=G, L=L, K=K, report=report)
+    # T N = I and C N = 0, so W = inv([C; T]) needs no solve
+    W = np.hstack([((Q.T - N @ Kq) / s) @ U.T, N])
+    return SylvesterSolution(T=T, F=F, G=G, W=W, report=report)
 
 
 def verify_solution(A, C, T, F, G, tol=0.0):

@@ -263,10 +263,20 @@ class TestSolve:
         code = main(["solve", write_system(tmp_path), "--poles", "-1", "--out", out_path])
         assert code == 0
         sol = load_matrices(out_path)
-        assert set(sol) == {"T", "F", "G", "L", "K"}
+        assert set(sol) == {"T", "F", "G", "W"}
         assert_allclose(sol["F"], [[-1.0]], atol=1e-12)
         assert_allclose(sol["T"], [[-1.0, 1.0]], atol=1e-12)
         assert "residual_norm" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, p", [(2, 1), (6, 2), (5, 5)])
+    def test_solution_W_is_observers(self, tmp_path, n, p):
+        # solve --out and observe --out write one W for one system file
+        A, C, _ = random_detectable_pair(np.random.default_rng((44, n, p)), n, p)
+        system = write_system(tmp_path, A=A, B=np.ones((n, 1)), C=C)
+        sol_path, obs_path = str(tmp_path / "sol.json"), str(tmp_path / "obs.json")
+        assert main(["solve", system, "--out", sol_path]) == 0
+        assert main(["observe", system, "--out", obs_path]) == 0
+        assert np.array_equal(load_matrices(sol_path)["W"], load_matrices(obs_path)["W"])
 
     def test_json_report(self, tmp_path, capsys):
         out_path = str(tmp_path / "sol.json")

@@ -16,6 +16,7 @@ from sylvobs import (
     load_matrices,
     save_matrices,
     simulate,
+    solve_constrained_sylvester,
     synthesize_observer,
 )
 from tests.conftest import random_detectable_pair, random_undetectable_pair
@@ -136,6 +137,19 @@ class TestSynthesis:
             assert np.linalg.norm(obs.W - inverse) <= 1e-9 * np.linalg.norm(inverse)
             assert max(np.linalg.eigvals(obs.F).real) < 0.0
 
+    def test_W_is_the_solves(self):
+        # the observer keeps the solve's W and forms none of its own;
+        # with p = n it is inv(C)
+        rng = np.random.default_rng(43)
+        for n, p in [(2, 1), (5, 2), (7, 3), (9, 4), (12, 1), (3, 3), (6, 6)]:
+            A, C, _ = random_detectable_pair(rng, n, p)
+            sol = solve_constrained_sylvester(A, C)
+            obs = synthesize_observer(Plant(A, np.ones((n, 1)), C))
+            assert np.array_equal(obs.W, sol.W)
+            if p == n:
+                inverse = np.linalg.inv(C)
+                assert np.linalg.norm(obs.W - inverse) <= 1e-9 * np.linalg.norm(inverse)
+
     @pytest.mark.parametrize("n, p, n_hidden", [(7, 2, 0), (9, 4, 2)])
     def test_each_fact_computed_once(self, monkeypatch, n, p, n_hidden):
         # one SVD of C (besides Plant's rank check), one staircase, one
@@ -192,13 +206,12 @@ class TestSynthesis:
             make(np.eye(2), np.ones((2, 1)), np.ones((1, 3)))
 
     def test_recombination_gate(self, monkeypatch):
-        # a solve whose K does not belong to its T gives a W that does not
-        # invert [C; T]
+        # a solve whose W does not belong to its T: W does not invert [C; T]
         solve = observer.solve_constrained_sylvester
 
         def perturbed(*args):
             sol = solve(*args)
-            return dataclasses.replace(sol, K=sol.K + 1.0)
+            return dataclasses.replace(sol, W=sol.W + 1.0)
 
         monkeypatch.setattr(observer, "solve_constrained_sylvester", perturbed)
         with pytest.raises(np.linalg.LinAlgError, match="^recombination matrix failed verification$"):

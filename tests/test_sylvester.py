@@ -12,7 +12,6 @@ from sylvobs import (
     default_stable_poles,
     eigenvalues,
     obs_decompose,
-    output_normalizing_transform,
     partition_by_output,
     solve_constrained_sylvester,
     spectral_abscissa,
@@ -64,11 +63,10 @@ class TestWorkedExample:
         assert rep.T_rank == 1
 
     def test_stacked_identity(self):
+        # W inverts [C; T] in any basis of T
         sol = solve_constrained_sylvester(A_CHAIN, C_CHAIN, [-1.0])
-        block = np.block([[np.eye(1), np.zeros((1, 1))], [sol.K, np.eye(1)]])
-        assert_allclose(
-            np.vstack([C_CHAIN, sol.T]), block @ np.linalg.inv(sol.L), atol=1e-12
-        )
+        assert_allclose(C_CHAIN @ sol.W, [[1.0, 0.0]], atol=1e-12)
+        assert_allclose(sol.W @ np.vstack([C_CHAIN, sol.T]), np.eye(2), atol=1e-12)
 
 
 class TestErrors:
@@ -200,7 +198,7 @@ class TestScale:
         C = np.array([[1.0, 0.0]])
         assert check_detectability(A, C).detectable
         sol = solve_constrained_sylvester(A, C)
-        assert np.array_equal(sol.K, [[0.0]])
+        assert np.array_equal(sol.W, np.eye(2))
         assert np.array_equal(sol.F, [[-3.0]])
         assert sol.report.stacked_min_singular_value == pytest.approx(1.0)
 
@@ -391,13 +389,10 @@ class TestRandomRoundTrip:
             p = int(rng.integers(1, n))
             A, C, _ = random_detectable_pair(rng, n, p)
             sol = solve_constrained_sylvester(A, C)
-            block = np.block(
-                [[np.eye(p), np.zeros((p, n - p))], [sol.K, np.eye(n - p)]]
-            )
-            assert np.array_equal(sol.L, output_normalizing_transform(C))
-            lhs = np.vstack([C, sol.T])
-            rhs = block @ np.linalg.inv(sol.L)
-            assert np.linalg.norm(lhs - rhs) <= 1e-8 * (1.0 + np.linalg.norm(lhs))
+            stacked = np.vstack([C, sol.T])
+            scale = 1e-8 * (1.0 + np.linalg.norm(stacked))
+            assert np.linalg.norm(C @ sol.W - np.eye(p, n)) <= scale
+            assert np.linalg.norm(sol.W @ stacked - np.eye(n)) <= scale
 
     def test_T_against_kronecker_solve(self):
         # independent route: with F and G fixed, T solves the linear
