@@ -20,9 +20,14 @@ unobservable modes.  A pair is detectable iff every eigenvalue of A22 is
 stable; ``check_detectability`` reads its verdict off that block.  The
 split keeps the staircase's stage ranks (``ObsDecomposition.stages``, the
 rank of C first): they give the observability indices, and ``gains``
-places poles on their stages.
+places poles on their stages.  Each stage's basis is the left singular
+vectors of its coupling block's thin SVD, found by block Gram-Schmidt in
+the coordinates of ``N``, so a stage costs O(n^2 r) and the split O(n^3)
+however many stages it has (one per state for one output).  Every
+observable column of ``Tsim`` has its largest-magnitude entry positive.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,11 +115,36 @@ class ObsDecomposition:
 
 
 def _distinct_eigenvalues(vals, match_tol):
+    """The eigenvalues ``vals`` (complex, in descending real order) less each
+    one within ``match_tol * (1 + |r|)`` of an r kept before it.  The kept
+    ones are scanned from the last, in ascending real part, and the scan
+    stops at a real-part gap above ``match_tol * (1 + max |vals|)``, past
+    which none can match."""
     reps = []
+    reach = match_tol * (1.0 + max(map(abs, vals), default=0.0))
     for lam in vals:
-        if not any(abs(lam - r) <= match_tol * (1.0 + abs(r)) for r in reps):
-            reps.append(complex(lam))
+        near = itertools.takewhile(lambda r: r.real - lam.real <= reach, reversed(reps))
+        if not any(abs(lam - r) <= match_tol * (1.0 + abs(r)) for r in near):
+            reps.append(lam)
     return reps
+
+
+def _classify(observed, hidden):
+    """``check_detectability``'s ``per_eigenvalue``: the distinct values of
+    the eigenvalues ``observed`` and ``hidden`` (Python complex values, each
+    list in descending real order) of a split's two blocks, merged at
+    ``DEFAULTS.eig_match``; one near an eigenvalue of the hidden block is
+    unobservable."""
+    match = DEFAULTS.eig_match
+    merged = sorted([*observed, *hidden], key=lambda v: (-v.real, -v.imag))
+    return [
+        EigAnalysis(
+            eigenvalue=lam,
+            observable=not any(abs(lam - h) <= match * (1.0 + abs(lam)) for h in hidden),
+            stable=lam.real < -DEFAULTS.stability,
+        )
+        for lam in _distinct_eigenvalues(merged, match)
+    ]
 
 
 def check_detectability(A, C, tol=0.0):
@@ -128,60 +158,49 @@ def check_detectability(A, C, tol=0.0):
     be observable to pass.  With a zero C every mode is hidden.
     """
     dec = _decompose(*_as_pair(A, C), tol)
-    hidden = _eigenvalues(dec.A22)
-    merged = sorted([*_eigenvalues(dec.A11), *hidden], key=lambda v: (-v.real, -v.imag))
-    match = DEFAULTS.eig_match
-    per = [
-        EigAnalysis(
-            eigenvalue=lam,
-            observable=not any(abs(lam - h) <= match * (1.0 + abs(lam)) for h in hidden),
-            stable=lam.real < -DEFAULTS.stability,
-        )
-        for lam in _distinct_eigenvalues(merged, match)
-    ]
+    hidden = _eigenvalues(dec.A22).tolist()
     offending = _unstable_hidden_modes(hidden)
     return DetectabilityVerdict(
         detectable=not offending,
-        per_eigenvalue=per,
+        per_eigenvalue=_classify(_eigenvalues(dec.A11).tolist(), hidden),
         offending=offending,
         observability_indices=dec.observability_indices,
     )
 
 
-def _row_compress(B, cutoff):
-    """Orthogonal U and r such that ``U.T @ B`` has zeros below row r.
-
-    ``cutoff`` is an absolute singular-value threshold; rank decisions
-    must be made at the scale of the parent problem, not per block, or
-    round-off garbage blocks masquerade as full rank.
-    """
-    if B.shape[0] == 0 or B.shape[1] == 0:
-        return np.eye(B.shape[0]), 0
-    U, s, _ = np.linalg.svd(B)
-    r = int(np.count_nonzero(s > cutoff))
-    return _canonical_signs(U), r
-
-
 def _stair_transform(A, B, cutoff):
     """Orthogonal U with U.T A U = [[Ac, X], [0, Auc]], U.T B = [B1; 0], and
-    the stage ranks of Ac, whose sum is the controllable-subspace dimension;
-    every stage uses one ``cutoff``, and the stages' transforms compose from
-    the last out."""
-    steps, n = [], A.shape[0]
-    while n:
-        U1, r = _row_compress(B, cutoff)
+    the stage ranks of Ac, whose sum is the controllable-subspace dimension.
+
+    Each stage keeps the left singular vectors Y of its coupling's thin SVD
+    whose singular values exceed ``cutoff`` (one cutoff for every stage), at
+    most as many as rows are left, so every coupling block has orthogonal
+    rows.  The next coupling is ``A Y`` less its part in the span V of the
+    columns kept so far, removed by block Gram-Schmidt run twice, and Y is
+    projected off V once more, so U stays orthogonal where a singular value
+    kept is near the cutoff.  A stage costs O(n^2 r) and one thin SVD, so
+    the staircase costs O(n^3) however many stages it has; one complete QR
+    of V gives the rest of U.  Columns take LAPACK's signs."""
+    size = A.shape[0]
+    U, stages, k = np.eye(size), [], 0
+    while k < size and B.shape[1]:
+        if k:
+            V, B = U[:, :k], A @ Y
+            for _ in range(2):
+                B -= V @ (V.T @ B)
+        Y, s, _ = np.linalg.svd(B, full_matrices=False)
+        r = min(int(np.count_nonzero(s > cutoff)), size - k)
         if r == 0:
             break
-        steps.append((U1, r))
-        n -= r
-        if n:
-            A1 = U1.T @ A @ U1
-            A, B = A1[r:, r:], A1[r:, :r]
-    U = np.eye(n)
-    for U1, r in reversed(steps):
-        U1[:, r:] = U1[:, r:] @ U
-        U = U1
-    return U, tuple(r for _, r in steps)
+        Y = Y[:, :r]
+        if k:
+            Y -= V @ (V.T @ Y)
+        U[:, k : k + r] = Y
+        stages.append(r)
+        k += r
+    if 0 < k < size:
+        U[:, k:] = np.linalg.qr(U[:, :k], mode="complete")[0][:, k:]
+    return U, tuple(stages)
 
 
 def obs_decompose(A, C, tol=0.0):
@@ -230,7 +249,8 @@ def _decompose(A, C, tol):
     _, s, Q, N, _, _, dec = _obs_split(A, C, tol)
     stages = (s.size, *dec.stages) if s.size else ()
     no = sum(stages)
-    Tsim = np.hstack([_canonical_signs(Q.T), N @ dec.Tsim])
+    Tsim = np.hstack([Q.T, N @ dec.Tsim])
+    Tsim[:, :no] = _canonical_signs(Tsim[:, :no])
     At = Tsim.T @ A @ Tsim
     return ObsDecomposition(
         Tsim=Tsim,

@@ -25,17 +25,19 @@ block: given the gain of the stages below, one small linear solve gives
 the top block that needs the least gain, and the per-pole rule places the
 stage's share on it.  That rule inserts one real eigenvalue, or one
 complex-conjugate pair as a real 2x2 block, as an invariant subspace of
-the closed loop and deflates it with a Householder similarity, pole after
-pole.  A pole takes its null direction from the least-norm input on a
-stage block, whose input has full row rank, if its condition number is at
-most 1e2, with one SVD of order r, and from an SVD of the whole pencil on
-a more graded stage block and in the base case: from the first stage that
-cannot take a conjugate-closed share (odd r_i and no real target left,
-e.g. one output and complex targets) down, the pair is placed pole by
-pole whole.  Two steps need no SVD.  A block's last pole, on a 1x1 block,
-takes its gain in closed form, and a real pole on a 2x2 block takes its
-least-norm direction from one Jacobi rotation of a 2x2 Gram matrix, so a
-stage block of order r >= 2 with real targets makes r - 2 SVDs.  Gains
+the closed loop and deflates it, pole after pole, to ``U.T A U``, U the
+rest of a Householder reflector (the step's gain vanishes on U).  A pole
+takes its null direction from the least-norm input on a stage block,
+whose input has full row rank, if its condition number is at most 1e2,
+with one SVD of order r, and from an SVD of the whole pencil on a more
+graded stage block and in the base case: from the first stage that cannot
+take a conjugate-closed share (odd r_i and no real target left, e.g. one
+output and complex targets) down, the pair is placed pole by pole whole.
+A real pole takes its least-norm step in closed form: one thin SVD at
+order 3 and above, and none at orders 1 and 2, where a block's last pole,
+on a 1x1 block, takes its gain directly and a real pole on a 2x2 block its
+direction from one Jacobi rotation of a 2x2 Gram matrix; so a stage block
+of order r >= 2 with real targets makes r - 2 SVDs.  Gains
 stay real; repeated poles are supported.  For p > 1 the gain is not
 unique; it is deterministic, but only the spectrum is contracted.
 """
@@ -145,11 +147,7 @@ def _insert_invariant_block(A, B, mu, directions):
         xx = float(x @ x)
         nx = math.sqrt(xx)
         if nx > 1e-12:
-            h = x / nx
-            h[0] += math.copysign(1.0, h[0])
-            U = np.outer(h, h[1:] / -abs(h[0]))
-            U.flat[n - 1 :: n] += 1.0
-            return np.outer(W[:, 0], x) / xx, U
+            return np.outer(W[:, 0], x) / xx, _reflector_rest(x / nx)
     else:
         X, W = directions(A - mu * np.eye(n), B)
         pairs = (((X[:, j] + 1j * X[:, k]) / np.sqrt(2.0), (W[:, j] + 1j * W[:, k]) / np.sqrt(2.0))
@@ -177,24 +175,43 @@ def _least_eigenpair(a, b, c):
     return c + t * b, t * cs, cs
 
 
-def _least_norm_order_two(A, B, mu):
-    """``_insert_invariant_block`` of a real ``mu`` on a 2 x 2 block by the
-    least-norm rule, in closed form.  With ``S = A - mu I`` and ``P = B.T
-    solve(B B.T, S)``, the rule's direction is the right singular vector v
-    of P's least singular value s: the least eigenvector of the Gram matrix
-    ``P.T P``, with eigenvalue s^2.  Its state part ``1 / sqrt(1 + s^2)``
-    must exceed 1e-12, as the rule's must.  Then ``F0 = -P v v.T``, and U,
-    the rest of v's Householder reflector, is ``sign(v0) [-v1, v0]``."""
+def _reflector_rest(h):
+    """The last n - 1 columns of the Householder reflector that maps the unit
+    vector h to a multiple of e_0: an orthonormal basis of h's complement."""
+    n = h.size
+    h[0] += math.copysign(1.0, h[0])
+    U = np.outer(h, h[1:] / -abs(h[0]))
+    U.flat[n - 1 :: n] += 1.0
+    return U
+
+
+def _least_norm_real(A, B, mu):
+    """``_insert_invariant_block`` of a real ``mu`` on a block of order n >= 2
+    by the least-norm rule, in closed form.  With ``S = A - mu I`` and ``P
+    = B.T solve(B B.T, S)``, the rule's direction is the right singular
+    vector v of P's least singular value s, of state part ``1 / sqrt(1 +
+    s^2)``, which must exceed 1e-12, as the rule's must.  Then ``F0 = -P v
+    v.T``, and U is the rest of v's Householder reflector.  On a 2 x 2
+    block v is the least eigenvector of the Gram matrix ``P.T P``, from one
+    Jacobi rotation, and U is ``sign(v0) [-v1, v0]``: no SVD; on a larger
+    block, v takes one thin SVD of P."""
+    n = A.shape[0]
     S = A.copy()
-    S.flat[::3] -= mu
+    S.flat[:: n + 1] -= mu
     P = B.T @ np.linalg.solve(B @ B.T, S)
-    (a, b), (_, c) = (P.T @ P).tolist()
-    ss, v0, v1 = _least_eigenpair(a, b, c)
+    if n == 2:
+        (a, b), (_, c) = (P.T @ P).tolist()
+        ss, v0, v1 = _least_eigenpair(a, b, c)
+        v = np.array([v0, v1])
+        sign = math.copysign(1.0, v0)
+        U = np.array([[-sign * v1], [sign * v0]])
+    else:
+        _, s, Vh = np.linalg.svd(P, full_matrices=False)
+        ss, v = float(s[-1]) ** 2, Vh[-1]
+        U = _reflector_rest(v.copy())
     if 1.0 / math.sqrt(1.0 + max(ss, 0.0)) <= 1e-12:
         raise np.linalg.LinAlgError(f"cannot assign eigenvalue {complex(mu)}: degenerate null space")
-    v = np.array([v0, v1])
-    sign = math.copysign(1.0, v0)
-    return np.outer(P @ v, -v), np.array([[-sign * v1], [sign * v0]])
+    return np.outer(P @ v, -v), U
 
 
 def _placement_order(poles):
@@ -237,18 +254,20 @@ def _placement_order(poles):
 def _place_feedback(A, B, items, directions):
     """Real F with the spectrum of ``A + B @ F`` equal to the placement ``items``
     (a pair item places both members): one deflation per item by the rule
-    ``directions`` (``_insert_invariant_block``; ``_least_norm_order_two``
-    for a real pole on a 2 x 2 block), the gains composed last first."""
+    ``directions`` (``_insert_invariant_block``; ``_least_norm_real`` for a
+    real pole by the least-norm rule), the gains composed last first.  Each
+    step's ``F0 = W X+`` vanishes on its U, which is orthogonal to X, so the
+    deflated block ``U.T (A + B F0) U`` is ``U.T A U``."""
     F, steps = np.zeros((B.shape[1], 0)), []
     for mu in items:
-        if A.shape[0] == 2 and mu.imag == 0.0 and directions is _least_norm_directions:
-            F, U = _least_norm_order_two(A, B, mu.real)
+        if mu.imag == 0.0 and A.shape[0] > 1 and directions is _least_norm_directions:
+            F, U = _least_norm_real(A, B, mu.real)
         else:
             F, U = _insert_invariant_block(A, B, mu, directions)
         if U.shape[1] == 0:
             break
         steps.append((F, U))
-        A, B = U.T @ (A + B @ F) @ U, U.T @ B
+        A, B = U.T @ A @ U, U.T @ B
     for F0, U in reversed(steps):
         F = F0 + F @ U.T
     return F
@@ -325,8 +344,9 @@ def _stage_gain(H, B1, K2, items):
     takes the stage's poles by the per-pole rule on ``(D1*, B1)``; F is the
     least-norm solution.  Both solves are of order r.  The rows of B1 are
     orthogonal up to round-off (the staircase takes every block from an
-    SVD), so ``B1 B1.T`` is diagonal up to round-off and its normal
-    equations do not square the conditioning of B1.  So the ratio of its
+    SVD: a stage's basis is its coupling's left singular vectors), so
+    ``B1 B1.T`` is diagonal up to round-off and its normal equations do not
+    square the conditioning of B1.  So the ratio of its
     row norms is its condition number, which bounds its deflations': up to
     ``_LEAST_NORM_COND`` the poles are placed from least-norm inputs, and
     beyond it, where their normal equations would lose more than four

@@ -342,3 +342,183 @@ class TestOneVerdict:
         monkeypatch.setattr(analysis, "_staircase", counted_staircase)
         check_detectability(A, C)
         assert calls == {"svd_of_C": 1, "staircase": 1, "complex_svd": 0}
+
+
+def reference_classify(observed, hidden):
+    """The per-eigenvalue loop as it stood before the windowed scan: every
+    kept value is compared, on numpy scalars."""
+    match = analysis.DEFAULTS.eig_match
+    hidden = np.asarray(hidden, dtype=complex)
+    merged = sorted([*np.asarray(observed, dtype=complex), *hidden], key=lambda v: (-v.real, -v.imag))
+    reps = []
+    for lam in merged:
+        if not any(abs(lam - r) <= match * (1.0 + abs(r)) for r in reps):
+            reps.append(complex(lam))
+    return [
+        analysis.EigAnalysis(
+            eigenvalue=lam,
+            observable=not any(abs(lam - h) <= match * (1.0 + abs(lam)) for h in hidden),
+            stable=lam.real < -analysis.DEFAULTS.stability,
+        )
+        for lam in reps
+    ]
+
+
+def clustered_spectrum(rng, k, scale):
+    """k conjugate-closed values in clusters whose members lie inside
+    ``eig_match``: centers with conjugates, each repeated up to three times
+    at offsets of 0.1 to 0.9 eig_match relative, in descending real order."""
+    match = analysis.DEFAULTS.eig_match
+    values = []
+    while len(values) < k:
+        center = scale * complex(rng.standard_normal(), rng.standard_normal() * rng.integers(0, 2))
+        for _ in range(int(rng.integers(1, 4))):
+            z = center * (1.0 + match * rng.uniform(0.1, 0.9) * rng.choice([-1.0, 1.0]))
+            values += [z, z.conjugate()] if z.imag else [z]
+    return sorted(values[:k], key=lambda v: (-v.real, -v.imag))
+
+
+class TestClassification:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    def test_matches_full_scan(self, scale):
+        # clusters inside eig_match, split between the two blocks at random
+        rng = np.random.default_rng((91, int(np.log10(scale)) + 3))
+        for _ in range(40):
+            values = clustered_spectrum(rng, int(rng.integers(1, 60)), scale)
+            hidden_mask = rng.random(len(values)) < 0.3
+            observed = [v for v, h in zip(values, hidden_mask) if not h]
+            hidden = [v for v, h in zip(values, hidden_mask) if h]
+            assert analysis._classify(observed, hidden) == reference_classify(observed, hidden)
+
+    def test_check_matches_full_scan(self):
+        # repeated eigenvalues of planted pairs, hidden and observable
+        rng = np.random.default_rng(92)
+        for _ in range(20):
+            n = int(rng.integers(2, 16))
+            A, C, _ = random_detectable_pair(rng, n, int(rng.integers(1, n)))
+            A = np.kron(np.eye(2), A)
+            C = np.kron(np.eye(2), C)[: int(rng.integers(1, C.shape[0] + 1))]
+            dec = obs_decompose(A, C)
+            expected = reference_classify(eigenvalues(dec.A11), eigenvalues(dec.A22))
+            assert check_detectability(A, C).per_eigenvalue == expected
+
+
+def reference_stair_transform(A, B, cutoff):
+    """The staircase as it stood before block Gram-Schmidt: a full SVD of
+    each stage's coupling, applied as a dense similarity."""
+    steps, n = [], A.shape[0]
+    while n:
+        if B.shape[1] == 0:
+            break
+        U1, s, _ = np.linalg.svd(B)
+        r = int(np.count_nonzero(s > cutoff))
+        if r == 0:
+            break
+        steps.append((U1, r))
+        n -= r
+        if n:
+            A1 = U1.T @ A @ U1
+            A, B = A1[r:, r:], A1[r:, :r]
+    U = np.eye(n)
+    for U1, r in reversed(steps):
+        U1[:, r:] = U1[:, r:] @ U
+        U = U1
+    return U, tuple(r for _, r in steps)
+
+
+def planted_coupling(rng, n, p, svals):
+    """(A, B) whose staircase has B's rank p first and, next, a coupling
+    with singular values ``svals``, rotated by a random orthogonal matrix."""
+    A = rng.standard_normal((n, n))
+    B = np.zeros((n, p))
+    B[:p] = rng.standard_normal((p, p))
+    k = len(svals)
+    A[p:, :p] = 0.0
+    left = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    right = np.linalg.qr(rng.standard_normal((p, p)))[0][:k]
+    A[p : p + k, :p] = left @ np.diag(svals) @ right
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ A @ Q.T, Q @ B
+
+
+def compare_staircases(A, B, cutoff, decoupled=True):
+    U, stages = analysis._stair_transform(A, B, cutoff)
+    U_ref, stages_ref = reference_stair_transform(A, B, cutoff)
+    n = A.shape[0]
+    assert stages == stages_ref
+    rows_left = n
+    for r in stages:
+        assert r <= rows_left
+        rows_left -= r
+    no = sum(stages)
+    signs = np.sign(np.sum(U[:, :no] * U_ref[:, :no], axis=0))
+    assert np.max(np.abs(U[:, :no] * signs - U_ref[:, :no]), initial=0.0) <= 1e-12 * n
+    assert_allclose(U.T @ U, np.eye(n), rtol=0.0, atol=1e-12 * n)
+    if decoupled:
+        hidden = (U.T @ A @ U)[no:, :no]
+        assert np.linalg.norm(hidden) <= 1e-12 * n * (1.0 + np.linalg.norm(A))
+    return stages
+
+
+class TestStaircaseEquivalence:
+    """Block Gram-Schmidt gives the full-SVD staircase's stages and
+    observable columns, up to column sign."""
+
+    @staticmethod
+    def cutoff(A):
+        return np.sqrt(np.finfo(float).eps) * np.linalg.norm(A, 2)
+
+    @pytest.mark.parametrize("n", [2, 5, 17, 40, 120])
+    def test_single_input(self, n):
+        rng = np.random.default_rng((93, n))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, 1))
+        assert compare_staircases(A, B, self.cutoff(A)) == (1,) * n
+
+    @pytest.mark.parametrize("n, p", [(6, 2), (20, 3), (33, 5), (48, 16), (9, 12)])
+    def test_many_inputs(self, n, p):
+        rng = np.random.default_rng((94, n, p))
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, p))
+        compare_staircases(A, B, self.cutoff(A))
+
+    @pytest.mark.parametrize("n, p, h", [(8, 1, 3), (20, 2, 4), (40, 4, 7)])
+    def test_planted_hidden_modes(self, n, p, h):
+        # the last h states are fed by none of the others: (A.T, B.T) is the
+        # observability pair of a planted unobservable block
+        rng = np.random.default_rng((95, n, p, h))
+        A = rng.standard_normal((n, n))
+        A[n - h :, : n - h] = 0.0
+        B = rng.standard_normal((n, p))
+        B[n - h :] = 0.0
+        Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        A, B = Q @ A @ Q.T, Q @ B
+        assert sum(compare_staircases(A, B, self.cutoff(A))) == n - h
+
+    @pytest.mark.parametrize("sval, rank", [(1.6e-3, 2), (0.6e-3, 1)], ids=["above", "below"])
+    def test_coupling_near_cutoff(self, sval, rank):
+        # a second-stage singular value within 2x of tol = 1e-3, above or below
+        rng = np.random.default_rng((96, rank))
+        A, B = planted_coupling(rng, 12, 2, [1.0, sval])
+        stages = compare_staircases(A, B, 1e-3, decoupled=False)
+        assert stages[:2] == (2, rank)
+
+    @pytest.mark.parametrize("ratio, rank", [(1.7, 2), (0.6, 1)], ids=["above", "below"])
+    def test_coupling_near_default_cutoff(self, ratio, rank):
+        # within 2x of sqrt(eps) ||A||: the same stages and an orthogonal U
+        # (the kept singular vector itself is only good to eps ||A|| / sigma)
+        seed = (97, rank)
+        A, _ = planted_coupling(np.random.default_rng(seed), 12, 2, [1.0, 0.0])
+        target = ratio * self.cutoff(A)
+        A, B = planted_coupling(np.random.default_rng(seed), 12, 2, [1.0, target])
+        assert abs(target / self.cutoff(A) - ratio) <= 1e-3
+        U, stages = analysis._stair_transform(A, B, self.cutoff(A))
+        assert stages[:2] == (2, rank)
+        assert stages == reference_stair_transform(A, B, self.cutoff(A))[1]
+        assert_allclose(U.T @ U, np.eye(12), rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-6, 0.5])
+    def test_positive_tol(self, tol):
+        # the stages never outnumber the rows, even at a cutoff below round-off
+        rng = np.random.default_rng((98, int(-np.log10(tol))))
+        A, B = rng.standard_normal((15, 15)), rng.standard_normal((15, 2))
+        B[:, 1] = B[:, 0]
+        compare_staircases(A, B, tol, decoupled=False)

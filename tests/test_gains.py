@@ -714,6 +714,58 @@ class TestOrderTwo:
         assert_multiset_close(eigenvalues(A + B @ F), [-1.0, -2.0], tol=1e-8)
 
 
+class TestClosedRealStep:
+    """A real pole on a block of order n >= 3 takes the least-norm rule's
+    step in closed form, from one thin SVD of P = B+ (A - mu I)."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_matches_generic_step(self, n, extra):
+        rng = np.random.default_rng((99, n, extra))
+        for _ in range(20):
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n + extra))
+            mu = 2.0 * rng.standard_normal()
+            F0, U = gains._least_norm_real(A, B, mu)
+            F0_ref, U_ref = gains._insert_invariant_block(A, B, complex(mu), gains._least_norm_directions)
+            assert np.linalg.norm(F0 - F0_ref) <= 1e-12 * np.linalg.norm(F0_ref)
+            assert U.shape == U_ref.shape == (n, n - 1)
+            assert_allclose(U @ U.T, U_ref @ U_ref.T, rtol=0.0, atol=1e-12)
+            assert_allclose(U.T @ U, np.eye(n - 1), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("b, raises", [(1.9e-12, True), (2.1e-12, False)])
+    def test_same_degeneracy_threshold(self, b, raises):
+        # P's least singular value is 2 / b: a state part of about b / 2,
+        # just below or just above 1e-12
+        A, B, mu = np.diag([1.0, 2.0, 3.0]), b * np.eye(3, 4), -1.0
+        steps = (lambda: gains._least_norm_real(A, B, mu),
+                 lambda: gains._insert_invariant_block(A, B, complex(mu), gains._least_norm_directions))
+        for step in steps:
+            if raises:
+                with pytest.raises(np.linalg.LinAlgError, match="degenerate null space"):
+                    step()
+            else:
+                F0, _ = step()
+                assert np.isfinite(F0).all()
+
+    KINDS = ["real", "pair", "pencil-real", "pencil-pair"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_deflation_needs_no_closed_loop(self, kind):
+        # F0 = W X+ vanishes on U, so U.T (A + B F0) U is U.T A U
+        rng = np.random.default_rng((100, self.KINDS.index(kind)))
+        for n in range(2, 9):
+            A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n + 1))
+            mu = -1.5 if kind.endswith("real") else -0.5 + 2.0j
+            if kind == "real":
+                F0, U = gains._least_norm_real(A, B, mu)
+            else:
+                rule = gains._pencil_directions if kind.startswith("pencil") else gains._least_norm_directions
+                F0, U = gains._insert_invariant_block(A, B, complex(mu), rule)
+            closed = U.T @ (A + B @ F0) @ U
+            scale = 1.0 + np.linalg.norm(A) + np.linalg.norm(B) * np.linalg.norm(F0)
+            assert np.linalg.norm(U.T @ A @ U - closed) <= 1e-13 * scale
+
+
 class TestStabilizingGain:
     def test_hidden_stable_mode_untouched(self):
         A = np.diag([-1.0, -2.0])
