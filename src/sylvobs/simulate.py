@@ -36,9 +36,9 @@ before it yields the block.  ``simulate`` runs it over the whole trace.
 ``sylvobs simulate`` runs it through ``_summarize`` in a window of
 ``_BLOCK + 1`` samples, and writes and summarises each block as it comes, so
 the command never holds the whole trace and its samples are ``simulate``'s.
-One writer, ``_csv_writer``, writes every CSV: ``write_trace_csv`` gives it
+One writer, ``_CsvWriter``, writes every CSV: ``write_trace_csv`` gives it
 the whole trace, ``_summarize`` each block in turn, so both write the same
-bytes.
+bytes, and both write a path through ``_file_sink``.
 
 The CSV holds every value as ``"{:.17g}".format`` writes it, byte for byte,
 but the text comes from a numpy kernel, ``_format_block``, about
@@ -59,13 +59,13 @@ import functools
 import math
 import os
 import stat
-from contextlib import nullcontext, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import DEFAULTS, as_vector, eigenvalues
+from .linalg import DEFAULTS, _eigenvalues, as_vector, eigenvalues
 
 __all__ = [
     "ConstantInput",
@@ -81,7 +81,7 @@ __all__ = [
 # enough to amortise per-block numpy calls, small enough that block buffers
 # stay far below the trace itself
 _BLOCK = 512
-# values per block of the CSV writer (see _Scratch)
+# values per kernel call of the CSV writer (see _CsvWriter)
 _CSV_VALUES = 8192
 # steps per group of the lifted recurrence inside a block (see the module
 # docstring): sqrt(_BLOCK / 2) minimises the Python iterations per block
@@ -213,11 +213,12 @@ def _check_step_stability(plant, obs, dt):
     not finite is rejected too, with |R| = inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        for source, M, hint in (
-            ("plant", plant.A, "reduce dt"),
-            ("observer", obs.F, "reduce dt or choose slower observer poles"),
+        # Plant validated A; a directly built observer's F is checked here alone
+        for source, spectrum, M, hint in (
+            ("plant", _eigenvalues, plant.A, "reduce dt"),
+            ("observer", eigenvalues, obs.F, "reduce dt or choose slower observer poles"),
         ):
-            for lam in eigenvalues(M):
+            for lam in spectrum(M):
                 if lam.real > DEFAULTS.stability:
                     continue
                 if lam.real >= -DEFAULTS.stability:
@@ -456,40 +457,49 @@ def _summarize(plant, obs, x0, z0, cfg, csv=None):
     Returns ``error_metrics`` of the trace and the step and time of its
     first non-finite sample, or None.  With ``csv``, a path, each block is
     written there by ``write_trace_csv``'s writer as it comes.  Every check
-    runs before the file is opened.  A run that fails after it removes a
-    regular file named by the path itself (no device, FIFO or symbolic
-    link): its rows would be a prefix of no finished trace.
+    runs before the file is opened, and a run that fails after it removes
+    the file it created (see ``_file_sink``): its rows would be a prefix
+    of no finished trace.
     """
     window, blocks = _run(plant, obs, x0, z0, cfg, window=True)
     initial = None
     nonfinite = None
-    fh = open(csv, "wb") if csv else nullcontext()
+    with _file_sink(csv) if csv else nullcontext() as write:
+        writer = _trace_writer(write, window) if csv else None
+        for start, block in blocks:
+            if writer:
+                writer.add(_columns(block))
+            if initial is None:
+                initial = float(block.e_norms[0])
+            # a non-finite x or z sample makes its e = z - T x sample
+            # non-finite, so the short scan of e_norms gates the row-wise scan
+            if nonfinite is None and not np.isfinite(block.e_norms).all():
+                finite = np.isfinite(block.x).all(axis=1) & np.isfinite(block.z).all(axis=1)
+                if not finite.all():
+                    row = int(np.argmin(finite))
+                    nonfinite = (start + row, float(block.times[row]))
+        if writer:
+            writer.flush()
+    return _final_metrics(initial, block), nonfinite
+
+
+@contextmanager
+def _file_sink(path):
+    """Open ``path`` for writing bytes and give the file's ``write``.  When
+    the body raises, a regular file named by the path itself is removed: a
+    device, a FIFO or a symbolic link stays, and so does a link's target.
+    """
     owned = False
     try:
-        with fh:
-            if csv:
-                st = os.fstat(fh.fileno())
-                owned = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(csv))
-            write_block, flush = (_csv_writer(fh.write, window) if csv
-                                  else (lambda block: None, lambda: None))
-            for start, block in blocks:
-                write_block(block)
-                if initial is None:
-                    initial = float(block.e_norms[0])
-                # a non-finite x or z sample makes its e = z - T x sample
-                # non-finite, so the short scan of e_norms gates the row-wise scan
-                if nonfinite is None and not np.isfinite(block.e_norms).all():
-                    finite = np.isfinite(block.x).all(axis=1) & np.isfinite(block.z).all(axis=1)
-                    if not finite.all():
-                        row = int(np.argmin(finite))
-                        nonfinite = (start + row, float(block.times[row]))
-            flush()
+        with open(path, "wb") as fh:
+            st = os.fstat(fh.fileno())
+            owned = stat.S_ISREG(st.st_mode) and os.path.samestat(st, os.lstat(path))
+            yield fh.write
     except BaseException:
         if owned:
-            with suppress(OSError):  # the run's own error is the one to report
-                os.remove(csv)
+            with suppress(OSError):  # the body's own error is the one to report
+                os.remove(path)
         raise
-    return _final_metrics(initial, block), nonfinite
 
 
 def error_metrics(trace):
@@ -520,29 +530,22 @@ def write_trace_csv(trace, path_or_file):
     Values are written with 17 significant digits so they round-trip
     exactly through decimal text.  A path is written as bytes, with LF
     line ends on every platform; a file object gets the same text as
-    ``str``.
+    ``str``.  A write to a path that fails removes the file it created,
+    but never a device, a FIFO, a symbolic link or a link's target.
     """
     if hasattr(path_or_file, "write"):
-        fh = nullcontext()
-        write = lambda text: path_or_file.write(bytes(text).decode("ascii"))
+        sink = nullcontext(lambda text: path_or_file.write(bytes(text).decode("ascii")))
     else:
-        fh = open(path_or_file, "wb")
-        write = fh.write
-    with fh:
-        write_block, flush = _csv_writer(write, trace)
-        write_block(trace)
-        flush()
+        sink = _file_sink(path_or_file)
+    with sink as write:
+        writer = _trace_writer(write, trace)
+        writer.add(_columns(trace))
+        writer.flush()
 
 
-def _csv_writer(write, trace):
+def _trace_writer(write, trace):
     """Write the CSV header of traces shaped as ``trace`` through ``write``,
-    as ASCII bytes, and return the function that writes the rows of one
-    ``SimulationTrace`` (a whole trace or a block of one) through it and
-    the function that writes the rows it still holds.
-
-    Every block is formatted in the one ``_Scratch`` of the writer, and a
-    kernel call may span blocks, so a run's rows take the fewest calls.
-    """
+    as ASCII bytes, and return the ``_CsvWriter`` of their rows."""
     n, q = trace.x.shape[1], trace.z.shape[1]
     header = (
         ["t"]
@@ -553,53 +556,21 @@ def _csv_writer(write, trace):
         + ["e_norm"]
     )
     write((",".join(header) + "\n").encode("ascii"))
-    scratch = _Scratch(len(header))
-
-    def write_block(b):
-        columns = (b.times[:, None], b.x, b.z, b.e, b.xhat, b.e_norms[:, None])
-        _write_csv_rows(write, columns, scratch)
-
-    return write_block, lambda: _flush_csv_rows(write, scratch)
+    return _CsvWriter(write, len(header))
 
 
-def _write_csv_rows(write, columns, scratch):
-    """Pass the CSV rows of ``columns`` (2-D arrays side by side) to
-    ``write``, ``"{:.17g}".format`` of every value byte for byte, as uint8
-    arrays of ASCII text.
-
-    The rows are copied into ``scratch`` after the ``scratch.held`` rows it
-    holds, and formatted there by ``_format_block`` each time it is full;
-    ``_flush_csv_rows`` writes the rest.  No per-row list or string is
-    made, and the only heap allocation per call of the kernel is the text
-    itself.
-    """
-    total, width = len(columns[0]), scratch.width
-    lo = 0
-    while lo < total:
-        held = scratch.held
-        rows = min(scratch.rows - held, total - lo)
-        block = scratch.values[held * width : (held + rows) * width].reshape(rows, width)
-        np.concatenate([c[lo : lo + rows] for c in columns], axis=1, out=block)
-        scratch.held += rows
-        lo += rows
-        if scratch.held == scratch.rows:
-            _flush_csv_rows(write, scratch)
-
-
-def _flush_csv_rows(write, scratch):
-    """Pass the CSV rows that ``scratch`` holds to ``write``, if any."""
-    if scratch.held:
-        write(_format_block(scratch, scratch.held))
-        scratch.held = 0
+def _columns(trace):
+    """The CSV columns of a ``SimulationTrace``, 2-D arrays side by side."""
+    return (trace.times[:, None], trace.x, trace.z, trace.e, trace.xhat, trace.e_norms[:, None])
 
 
 def _format_g17(values):
-    """CSV text of a 2-D float array, as ``_write_csv_rows`` writes it."""
+    """CSV text of a 2-D float array, as ``_CsvWriter`` writes it."""
     values = np.asarray(values, dtype=np.float64)
     texts = []
-    scratch = _Scratch(values.shape[1])
-    _write_csv_rows(texts.append, (values,), scratch)
-    _flush_csv_rows(texts.append, scratch)
+    writer = _CsvWriter(texts.append, values.shape[1])
+    writer.add((values,))
+    writer.flush()
     return b"".join(t.tobytes() for t in texts).decode("ascii")
 
 
@@ -680,17 +651,21 @@ def _split(a, d, high, low):
     np.subtract(a, low, out=low)
 
 
-class _Scratch:
-    """Every working array of ``_format_block`` for blocks of ``rows`` rows
-    of ``width`` values.
+class _CsvWriter:
+    """Passes CSV rows to ``write``, ``"{:.17g}".format`` of every value byte
+    for byte, as uint8 arrays of ASCII text, and holds every working array
+    of ``_format_block`` for calls of ``rows`` rows of ``width`` values.
 
+    ``add`` copies rows into ``values`` after the ``held`` rows it holds and
+    formats them each time it is full, so a kernel call may span the blocks
+    of a run and its rows take the fewest calls; ``flush`` writes the rest.
     ``rows`` is ``_CSV_VALUES // width`` (at least one row), so the arrays
-    hold 186 bytes per value, near 1.5 MB.  A writer makes one
-    ``_Scratch`` and formats every block in it, so the only allocation per
-    block is the text it returns.
+    hold 186 bytes per value, near 1.5 MB, and the only allocation per call
+    is the text it returns.
     """
 
-    def __init__(self, width):
+    def __init__(self, write, width):
+        self.write = write
         self.width = width
         self.rows = max(1, _CSV_VALUES // width)
         self.held = 0  # rows of ``values`` not yet formatted
@@ -705,6 +680,26 @@ class _Scratch:
         # each value's part of the layout code for its separator
         self.row_end = np.zeros(size, np.uint8)
         self.row_end.reshape(self.rows, width)[:, -1] = 2
+
+    def add(self, columns):
+        """Take the rows of ``columns``, 2-D arrays side by side."""
+        total, width = len(columns[0]), self.width
+        lo = 0
+        while lo < total:
+            held = self.held
+            rows = min(self.rows - held, total - lo)
+            block = self.values[held * width : (held + rows) * width].reshape(rows, width)
+            np.concatenate([c[lo : lo + rows] for c in columns], axis=1, out=block)
+            self.held += rows
+            lo += rows
+            if self.held == self.rows:
+                self.flush()
+
+    def flush(self):
+        """Write the rows held, if any."""
+        if self.held:
+            self.write(_format_block(self, self.held))
+            self.held = 0
 
 
 def _decimal17(s, count):

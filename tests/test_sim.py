@@ -1,10 +1,13 @@
+import dataclasses
 import io
 import itertools
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -588,9 +591,60 @@ class TestCsv:
         assert per_call == 67
         assert len(calls) == math.ceil(10001 / per_call) == 150
         assert all(rows == per_call for _, rows in calls[:-1])
+        # the whole trace takes the same calls as the streamed run's blocks
+        streamed = calls[:]
+        calls.clear()
         buf = io.StringIO()
         write_trace_csv(simulate(plant, obs, x0, z0, cfg), buf)
+        assert calls == streamed
         assert path.read_bytes() == buf.getvalue().encode("ascii")
+
+    @staticmethod
+    def short_trace():
+        """A 3001-row trace whose e is one row short: its CSV fails at the
+        last rows, after two kernel calls of 1024 rows were written."""
+        plant, obs = worked_setup()
+        trace = simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=3.0, dt=1e-3))
+        return dataclasses.replace(trace, e=trace.e[:-1])
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            write_trace_csv(self.short_trace(), buf)
+        assert buf.getvalue().count("\n") == 1 + 2 * 1024
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError):
+            write_trace_csv(self.short_trace(), str(path))
+        assert not path.exists()
+
+    def test_failed_write_keeps_a_link_and_its_target(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"")
+        link.symlink_to(target)
+        with pytest.raises(ValueError):
+            write_trace_csv(self.short_trace(), str(link))
+        assert link.is_symlink() and target.read_bytes().startswith(b"t,x_1,")
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    def test_failed_write_keeps_a_fifo(self, tmp_path):
+        fifo = tmp_path / "trace.fifo"
+        os.mkfifo(fifo)
+        read = []
+        reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        with pytest.raises(ValueError):
+            write_trace_csv(self.short_trace(), str(fifo))
+        reader.join(30)
+        assert not reader.is_alive()
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and read[0].startswith(b"t,x_1,")
+
+    def test_failed_write_keeps_a_device(self, monkeypatch):
+        # os.remove is replaced, so a faulty check could not remove the device
+        removed = []
+        monkeypatch.setattr(os, "remove", removed.append)
+        with pytest.raises(ValueError):
+            write_trace_csv(self.short_trace(), os.devnull)
+        assert removed == []
 
     def test_roundtrip_exact(self):
         plant, obs = worked_setup()
