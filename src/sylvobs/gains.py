@@ -180,8 +180,8 @@ def _reflector_rest(h):
     vector h to a multiple of e_0: an orthonormal basis of h's complement."""
     n = h.size
     h[0] += math.copysign(1.0, h[0])
-    U = np.outer(h, h[1:] / -abs(h[0]))
-    U.flat[n - 1 :: n] += 1.0
+    U = h[:, None] * (h[1:] / -abs(h[0]))
+    U.reshape(-1)[n - 1 :: n] += 1.0
     return U
 
 
@@ -197,7 +197,7 @@ def _least_norm_real(A, B, mu):
     block, v takes one thin SVD of P."""
     n = A.shape[0]
     S = A.copy()
-    S.flat[:: n + 1] -= mu
+    S.reshape(-1)[:: n + 1] -= mu
     P = B.T @ np.linalg.solve(B @ B.T, S)
     if n == 2:
         (a, b), (_, c) = (P.T @ P).tolist()
@@ -211,7 +211,7 @@ def _least_norm_real(A, B, mu):
         U = _reflector_rest(v.copy())
     if 1.0 / math.sqrt(1.0 + max(ss, 0.0)) <= 1e-12:
         raise np.linalg.LinAlgError(f"cannot assign eigenvalue {complex(mu)}: degenerate null space")
-    return np.outer(P @ v, -v), U
+    return (P @ v)[:, None] * -v, U
 
 
 def _placement_order(poles):

@@ -11,15 +11,26 @@ t + dt/2; u(t + dt) starts the next step).  ``ConstantInput`` and
 value bit for bit the one their call gives; any other callable, a subclass
 of either included, is called once per input time.
 
-The trace is built in blocks of ``_BLOCK`` rows.  One matmul forms a
-block's forcing rows b_j, and the recurrence is lifted over groups of
-``_GROUP`` = L steps: a Horner pass gives each full group its forcing
-c_g = sum_{i<L} M^{L-1-i} b_{gL+i}, a sequential loop sets the group heads
-s_{(g+1)L} = M^L s_{gL} + c_g, and L - 1 passes, each over every group at
-once, fill the rows in between.  L = sqrt(_BLOCK / 2) minimises the
-2 (L - 1) + _BLOCK / L Python iterations per block.  The states are those
-of the step-by-step recurrence to round-off, not bit for bit: the heads
-go through M^L.
+The trace is built in blocks of ``_BLOCK`` rows, and the recurrence is
+lifted over groups of ``_GROUP`` = L = 16 steps and super-groups of
+``_SUPER`` = L2 = 4 groups.  Once per run, ``_step_maps`` builds, besides M
+and W, the map K of a group's 2L + 1 input samples to its zero-state end
+state c_g = sum_{i<L} M^{L-1-i} b_{gL+i} (by Horner's rule over the L
+steps, on K itself), the powers (M^L)^i, i < L2, side by side, and
+M^(L L2).  Each block then takes: one matmul for its forcing rows b_j; one
+of the groups' windows of input samples with K for every full group's c_g;
+one of the c_g, L2 at a time, with the powers for each super-group's
+forcing d_h = sum_{j<L2} (M^L)^{L2-1-j} c_{h L2 + j}; a sequential loop
+over the _BLOCK / (L L2) = 8 super-group heads, s_{(h+1) L L2} =
+M^(L L2) s_{h L L2} + d_h; L2 - 1 passes, each over every super-group at
+once, for the group heads between them; and L - 1 passes, each over every
+group, for the rows inside the groups.  That is about 55 numpy calls a
+block and N^2 flops a row, N the order of [x; z].  For L = 16, L2 = 4
+minimises the heads' 2 _BLOCK / (L L2) + 2 (L2 - 1) calls; 8 ties, with
+twice the powers and an M^128 that overflows at a growth of 260 per step
+instead of 6.6e4 (see ``simulate``).  The states are those of the
+step-by-step recurrence to round-off, not bit for bit: the heads go
+through powers of M.
 
 A step dt that puts a decaying or marginal mode of the plant or the
 observer outside RK4's stability region (|R(dt lam)| >= 1, or > 1 on the
@@ -83,9 +94,10 @@ __all__ = [
 _BLOCK = 512
 # values per kernel call of the CSV writer (see _CsvWriter)
 _CSV_VALUES = 8192
-# steps per group of the lifted recurrence inside a block (see the module
-# docstring): sqrt(_BLOCK / 2) minimises the Python iterations per block
-_GROUP = math.isqrt(_BLOCK // 2)
+# steps per group of the lifted recurrence inside a block, and groups per
+# super-group (see the module docstring)
+_GROUP = 16
+_SUPER = 4
 
 
 @dataclass(frozen=True)
@@ -244,10 +256,31 @@ def _check_step_stability(plant, obs, dt):
                     )
 
 
+@dataclass(frozen=True)
+class _StepMaps:
+    """The maps of one RK4 step s_next = M s + W [u0; uh; u1] and of its
+    lifted recurrence, for states and inputs as rows (so M acts as ``@ M.T``).
+
+    ``W_T`` is W.T, ``K`` maps a group's 2L + 1 input samples, its rows of
+    ``uv`` end to end, to the group's zero-state end state c_g, and
+    ``powers`` stacks ((M^L)^(L2-1-j)).T for j < L2, so that one super-group's
+    c_g end to end times ``powers`` is its forcing.  ``M_T``, ``M_L_T`` and
+    ``M_S_T`` are M.T, (M^L).T and (M^(L L2)).T.
+    """
+
+    W_T: np.ndarray
+    K: np.ndarray
+    M_T: np.ndarray
+    M_L_T: np.ndarray
+    powers: np.ndarray
+    M_S_T: np.ndarray
+
+
 def _step_maps(Abig, Bbig, dt):
-    """M, W.T and M^_GROUP of one RK4 step s_next = M s + W [u0; uh; u1] of
-    ds/dt = Abig s + Bbig u, with u0, uh, u1 = u(t), u(t + dt/2), u(t + dt)."""
+    """The ``_StepMaps`` of one RK4 step of ds/dt = Abig s + Bbig u, with
+    u0, uh, u1 = u(t), u(t + dt/2), u(t + dt)."""
     N, m = Bbig.shape
+    L, L2 = _GROUP, _SUPER
 
     def rk4_step(s, u0, uh, u1):
         """One RK4 step from t, by columns."""
@@ -261,39 +294,57 @@ def _step_maps(Abig, Bbig, dt):
     # identity it yields [M W]
     E = np.eye(N + 3 * m)
     MW = rk4_step(E[:N], E[N : N + m], E[N + m : N + 2 * m], E[N + 2 * m :])
-    M = np.ascontiguousarray(MW[:, :N])
-    return M, np.ascontiguousarray(MW[:, N:].T), np.linalg.matrix_power(M, _GROUP)
+    M_T = np.ascontiguousarray(MW[:, :N].T)
+    W_T = np.ascontiguousarray(MW[:, N:].T)
+    # K holds step i's part W.T (M^(L-1-i)).T at the rows of its samples,
+    # 2im .. (2i + 3)m, the parts of shared samples added.  Horner's rule
+    # multiplies the rows filled so far
+    K = np.zeros(((2 * L + 1) * m, N))
+    for i in range(L):
+        K[: (2 * i + 1) * m] = K[: (2 * i + 1) * m] @ M_T
+        K[2 * i * m : (2 * i + 3) * m] += W_T
+    M_L_T = np.linalg.matrix_power(M_T, L)
+    powers = [np.eye(N)]
+    for _ in range(L2 - 1):
+        powers.append(powers[-1] @ M_L_T)
+    return _StepMaps(W_T=W_T, K=K, M_T=M_T, M_L_T=M_L_T, powers=np.concatenate(powers[::-1]),
+                     M_S_T=np.linalg.matrix_power(M_L_T, L2))
 
 
-def _recur(S, M, M_L, c, tmp):
+def _recur(S, windows, maps, c, tmp):
     """Run s_{j+1} = M s_j + b_j in place over the rows of ``S``.
 
-    On entry ``S[0]`` is s_0 and ``S[j + 1]`` holds b_j; on exit ``S[j]``
-    is s_j.  ``M_L`` is M^_GROUP; ``c`` and ``tmp`` are scratch of at least
-    len(S) // _GROUP and that plus one rows.  States are rows, so M acts as
-    ``@ M.T``.
+    On entry ``S[0]`` is s_0 and ``S[j + 1]`` holds b_j, and ``windows[g]``
+    is the 2L + 1 input samples of group g, steps gL .. gL + L - 1, end to
+    end; on exit ``S[j]`` is s_j.  ``maps`` is a ``_StepMaps``; ``c`` and
+    ``tmp`` are scratch of at least len(S) // _GROUP and that plus one rows.
     """
-    L = _GROUP
+    L, L2 = _GROUP, _SUPER
     g = (len(S) - 1) // L
     if g:
-        # Horner pass c_g = sum_{i<L} M^{L-1-i} b_{gL+i}, over all full groups
-        # at once; it reads the head rows' b before the heads replace them
-        b = S[1 : g * L + 1].reshape(g, L, -1)
-        cg = c[:g]
-        cg[...] = b[:, 0]
-        for i in range(1, L):
-            np.matmul(cg, M.T, out=tmp[:g])
-            np.add(tmp[:g], b[:, i], out=cg)
+        # every full group's forcing c_g, then the heads s_{h L L2} of the
+        # super-groups, one after another through M^(L L2), each from the
+        # forcing of the L2 groups before it
+        cg = np.matmul(windows[:g], maps.K, out=c[:g])
         heads = S[: g * L + 1 : L]
-        heads[1:] = cg
-        for prev, row in zip(heads[:-1], heads[1:]):
-            row += M_L @ prev
+        supers = heads[::L2]
+        h = len(supers) - 1
+        np.matmul(cg[: h * L2].reshape(h, L2 * S.shape[1]), maps.powers, out=supers[1:])
+        for prev, row in zip(supers[:-1], supers[1:]):
+            row += prev @ maps.M_S_T
+        # the group heads in between, the partial last super-group's too:
+        # pass j sets s_{(h L2 + j) L} = M^L s_{(h L2 + j - 1) L} + c_{h L2 + j - 1}
+        for j in range(1, min(L2, len(heads))):
+            rows = heads[j::L2]
+            k = len(rows)
+            np.matmul(heads[j - 1 :: L2][:k], maps.M_L_T, out=tmp[:k])
+            np.add(tmp[:k], cg[j - 1 :: L2], out=rows)
     # the rows inside every group, the partial last one included: pass i
     # sets s_{gL+i} = M s_{gL+i-1} + b_{gL+i-1} for every g
     for i in range(1, min(L, len(S))):
         rows = S[i::L]
         k = len(rows)
-        np.matmul(S[i - 1 :: L][:k], M.T, out=tmp[:k])
+        np.matmul(S[i - 1 :: L][:k], maps.M_T, out=tmp[:k])
         rows += tmp[:k]
 
 
@@ -313,10 +364,11 @@ def simulate(plant, obs, x0, z0, cfg=SimulationConfig()):
     or a step ``cfg.dt`` outside RK4's stability region for a decaying
     or marginal mode of the plant or the observer.
 
-    The group heads step through M^16 (see the module docstring), which
-    overflows only when one step grows an unstable mode by more than about
-    1e19; the trace then turns non-finite from step 16 on, about where it
-    overflows step by step anyway.
+    The super-group heads step through M^64 (see the module docstring),
+    which overflows when one step grows an unstable mode by more than about
+    6.6e4, the 64th root of the largest double; the trace then turns
+    non-finite from step 64 on, about where a state of order one overflows
+    step by step anyway.
     """
     trace, blocks = _run(plant, obs, x0, z0, cfg)
     for _block in blocks:
@@ -356,7 +408,7 @@ def _run(plant, obs, x0, z0, cfg, window=False):
     Abig[:n, :n] = plant.A
     Abig[n:, :n] = obs.G @ plant.C
     Abig[n:, n:] = obs.F
-    M, W_T, M_L = _step_maps(Abig, np.vstack([plant.B, obs.P]), dt)
+    maps = _step_maps(Abig, np.vstack([plant.B, obs.P]), dt)
 
     trace, states = _trace_buffer(_BLOCK + 1 if window else steps + 1, n, q)
     states[0, :n] = x0
@@ -367,9 +419,12 @@ def _run(plant, obs, x0, z0, cfg, window=False):
         tmp = np.empty((_BLOCK // _GROUP + 1, N))
         yz = np.empty((_BLOCK + 1, n))
         # within a block, uv[2j] = u(t_j) and uv[2j + 1] = u(t_j + dt/2), so
-        # row j of uv_windows is the 3m-vector [u0; uh; u1] of the block's step j
+        # row j of uv_windows is the 3m-vector [u0; uh; u1] of the block's
+        # step j, and row g of group_windows the (2L + 1)m samples of group g
         uv = np.empty((2 * _BLOCK + 1, m))
-        uv_windows = sliding_window_view(uv.reshape(-1), 3 * m)[:: 2 * m]
+        flat = uv.reshape(-1)
+        uv_windows = sliding_window_view(flat, 3 * m)[:: 2 * m]
+        group_windows = sliding_window_view(flat, (2 * _GROUP + 1) * m)[:: 2 * _GROUP * m]
         uv[0] = u_start
         for lo in range(0, steps, _BLOCK):
             hi = min(lo + _BLOCK, steps)
@@ -380,8 +435,8 @@ def _run(plant, obs, x0, z0, cfg, window=False):
             # each distinct input time once, in time order; the even ones are
             # exactly times[lo + 1 .. hi]
             sample(np.arange(2 * lo + 1, 2 * hi + 1) * (0.5 * dt), uv[1 : 2 * k + 1])
-            np.matmul(uv_windows[:k], W_T, out=states[a + 1 : a + k + 1])
-            _recur(states[a : a + k + 1], M, M_L, c, tmp)
+            np.matmul(uv_windows[:k], maps.W_T, out=states[a + 1 : a + k + 1])
+            _recur(states[a : a + k + 1], group_windows, maps, c, tmp)
             uv[0] = uv[2 * k]  # u(t_hi) starts the next block
             # the block's new samples, and the initial one with the first block
             skip = 1 if lo else 0
@@ -531,8 +586,11 @@ def write_trace_csv(trace, path_or_file):
     exactly through decimal text.  A path is written as bytes, with LF
     line ends on every platform; a file object gets the same text as
     ``str``.  A write to a path that fails removes the file it created,
-    but never a device, a FIFO, a symbolic link or a link's target.
+    but never a device, a FIFO, a symbolic link or a link's target.  A
+    trace of the wrong shapes is a ``ValueError`` naming the field, raised
+    before anything is written or opened.
     """
+    _check_trace(trace)
     if hasattr(path_or_file, "write"):
         sink = nullcontext(lambda text: path_or_file.write(bytes(text).decode("ascii")))
     else:
@@ -541,6 +599,22 @@ def write_trace_csv(trace, path_or_file):
         writer = _trace_writer(write, trace)
         writer.add(_columns(trace))
         writer.flush()
+
+
+def _check_trace(trace):
+    """Raise a ``ValueError`` naming the first field of ``trace`` whose shape
+    is not a trace's: of R entries for ``times`` and ``e_norms``, and (R, n),
+    (R, q), (R, q) and (R, n) for ``x``, ``z``, ``e`` and ``xhat``."""
+    shapes = {name: np.shape(getattr(trace, name))
+              for name in ("times", "x", "z", "e", "xhat", "e_norms")}
+    rows = shapes["times"][:1] if len(shapes["times"]) == 1 else ("R",)
+    n = shapes["x"][1:] if len(shapes["x"]) == 2 else ("n",)
+    q = shapes["z"][1:] if len(shapes["z"]) == 2 else ("q",)
+    for name, want in (("times", rows), ("x", rows + n), ("z", rows + q), ("e", rows + q),
+                       ("xhat", rows + n), ("e_norms", rows)):
+        if shapes[name] != want:
+            want = str(want).replace("'", "")
+            raise ValueError(f"trace {name} must have shape {want}, got {shapes[name]}")
 
 
 def _trace_writer(write, trace):

@@ -69,9 +69,28 @@ def unstable_setup():
     return plant, synthesize_observer(plant)
 
 
+def stored_observer_setup(seed, n, p, m=2):
+    """A seeded stable plant of order n with p outputs and m inputs, and a
+    stored observer with F = -I: the coupled order is N = 2n - p."""
+    rng = np.random.default_rng(seed)
+    A = stable_matrix(rng, n)
+    B, C = rng.standard_normal((n, m)), rng.standard_normal((p, n))
+    q = n - p
+    T = rng.standard_normal((q, n))
+    obs = ReducedObserver(F=-np.eye(q), G=rng.standard_normal((q, p)), P=T @ B, T=T,
+                          W=np.linalg.inv(np.vstack([C, T])))
+    return Plant(A, B, C), obs
+
+
+# runs that end inside a group of 16 steps: 53 = 3 groups and 5 steps, inside
+# the first super-group of 64; 181 = 2 super-groups, 3 groups and 5 steps,
+# alone and after a whole block
+EDGE_STEPS = (53, 181, _BLOCK + 181)
+
 # (setup, steps, input) against textbook RK4: the seeded n = 8 plant with each
-# input over partial and whole blocks and groups, then the n = 32 plant
-# (N = 60) and the unstable plant over three blocks
+# input over partial and whole blocks, groups and super-groups, then the
+# n = 32 plant (N = 60) and the unstable plant over three blocks, and a stored
+# observer at n = 96 (N = 180)
 TEXTBOOK_SIGNALS = {
     "zero": None,
     "constant": ConstantInput([0.7, -0.2]),
@@ -86,6 +105,14 @@ TEXTBOOK_CASES = [
                  id=f"seeded-n32-p4-sinusoid-{2 * _BLOCK + 3}"),
     pytest.param(unstable_setup, 2 * _BLOCK + 3, TEXTBOOK_SIGNALS["sinusoid"],
                  id=f"unstable-n8-p2-sinusoid-{2 * _BLOCK + 3}"),
+] + [
+    pytest.param(lambda: random_stable_setup(72, 8, 2, m=2), steps, signal, id=f"{name}-{steps}")
+    for steps in EDGE_STEPS
+    for name, signal in TEXTBOOK_SIGNALS.items()
+] + [
+    pytest.param(lambda: stored_observer_setup(74, 96, 12), steps, TEXTBOOK_SIGNALS["sinusoid"],
+                 id=f"stored-n96-p12-sinusoid-{steps}")
+    for steps in EDGE_STEPS
 ]
 
 
@@ -200,7 +227,7 @@ class TestSimulate:
         assert np.linalg.norm(trace.x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
         assert np.linalg.norm(trace.z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
 
-    @pytest.mark.parametrize("steps", [1, _BLOCK, 2 * _BLOCK + 3])
+    @pytest.mark.parametrize("steps", [1, _BLOCK, 2 * _BLOCK + 3, *EDGE_STEPS])
     def test_input_evaluated_once_per_distinct_time(self, steps):
         plant, obs = random_stable_setup(72, 8, 2, m=2)
         u = CountingInput(2)
@@ -600,50 +627,81 @@ class TestCsv:
         assert path.read_bytes() == buf.getvalue().encode("ascii")
 
     @staticmethod
-    def short_trace():
-        """A 3001-row trace whose e is one row short: its CSV fails at the
-        last rows, after two kernel calls of 1024 rows were written."""
+    def worked_trace():
+        """The worked plant's 3001-row trace: its CSV takes three kernel
+        calls, two of 1024 rows and one of 953."""
         plant, obs = worked_setup()
-        trace = simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=3.0, dt=1e-3))
-        return dataclasses.replace(trace, e=trace.e[:-1])
+        return simulate(plant, obs, [0.0, 0.0], [1.0], SimulationConfig(t_final=3.0, dt=1e-3))
 
-    def test_failed_write_leaves_no_file(self, tmp_path):
+    def test_short_trace_rejected_before_writing(self, tmp_path):
+        # e one row short: the error names it before any byte is written
+        trace = self.worked_trace()
+        short = dataclasses.replace(trace, e=trace.e[:-1])
         buf = io.StringIO()
-        with pytest.raises(ValueError):
-            write_trace_csv(self.short_trace(), buf)
-        assert buf.getvalue().count("\n") == 1 + 2 * 1024
+        message = "trace e must have shape (3001, 1), got (3000, 1)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_trace_csv(short, buf)
+        assert buf.getvalue() == ""
         path = tmp_path / "trace.csv"
-        with pytest.raises(ValueError):
-            write_trace_csv(self.short_trace(), str(path))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            write_trace_csv(short, str(path))
         assert not path.exists()
 
-    def test_failed_write_keeps_a_link_and_its_target(self, tmp_path):
+    @pytest.fixture
+    def failing_trace(self, monkeypatch):
+        """``worked_trace``, whose CSV fails at the last rows, after the header
+        and two kernel calls of 1024 rows were written: every write's third
+        call raises."""
+        sim = sys.modules["sylvobs.simulate"]  # the package's simulate is the function
+        trace = self.worked_trace()
+        calls = itertools.count()
+        format_block = sim._format_block
+
+        def fail_third(s, rows):
+            if next(calls) % 3 == 2:
+                raise ValueError("the third kernel call fails")
+            return format_block(s, rows)
+
+        monkeypatch.setattr(sim, "_format_block", fail_third)
+        return trace
+
+    def test_failed_write_leaves_no_file(self, tmp_path, failing_trace):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="third kernel call"):
+            write_trace_csv(failing_trace, buf)
+        assert buf.getvalue().count("\n") == 1 + 2 * 1024
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="third kernel call"):
+            write_trace_csv(failing_trace, str(path))
+        assert not path.exists()
+
+    def test_failed_write_keeps_a_link_and_its_target(self, tmp_path, failing_trace):
         target, link = tmp_path / "target.csv", tmp_path / "link.csv"
         target.write_bytes(b"")
         link.symlink_to(target)
-        with pytest.raises(ValueError):
-            write_trace_csv(self.short_trace(), str(link))
+        with pytest.raises(ValueError, match="third kernel call"):
+            write_trace_csv(failing_trace, str(link))
         assert link.is_symlink() and target.read_bytes().startswith(b"t,x_1,")
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
-    def test_failed_write_keeps_a_fifo(self, tmp_path):
+    def test_failed_write_keeps_a_fifo(self, tmp_path, failing_trace):
         fifo = tmp_path / "trace.fifo"
         os.mkfifo(fifo)
         read = []
         reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        with pytest.raises(ValueError):
-            write_trace_csv(self.short_trace(), str(fifo))
+        with pytest.raises(ValueError, match="third kernel call"):
+            write_trace_csv(failing_trace, str(fifo))
         reader.join(30)
         assert not reader.is_alive()
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and read[0].startswith(b"t,x_1,")
 
-    def test_failed_write_keeps_a_device(self, monkeypatch):
+    def test_failed_write_keeps_a_device(self, monkeypatch, failing_trace):
         # os.remove is replaced, so a faulty check could not remove the device
         removed = []
         monkeypatch.setattr(os, "remove", removed.append)
-        with pytest.raises(ValueError):
-            write_trace_csv(self.short_trace(), os.devnull)
+        with pytest.raises(ValueError, match="third kernel call"):
+            write_trace_csv(failing_trace, os.devnull)
         assert removed == []
 
     def test_roundtrip_exact(self):
