@@ -63,25 +63,36 @@ class Tolerances:
 DEFAULTS = Tolerances()
 
 
+def _real(M, message):
+    """``M`` as a float64 array, ``M`` itself when it is a float64 ndarray; a
+    ``ValueError`` starting with ``message`` when it does not convert or is
+    complex, where numpy's conversion would keep the real part."""
+    try:
+        M = np.asarray(M)
+        if M.dtype.kind == "c":
+            raise TypeError(f"complex entries (dtype {M.dtype})")
+        return np.asarray(M, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{message}: {exc}") from None
+
+
 def as_matrix(M, name="matrix", allow_empty=False):
     """Convert to a validated 2-D float array.
 
     1-D input is interpreted as a single row.  A C-ordered float64 array
     is returned by reference, not copied; other input is converted.
-    Raises ``ValueError`` on complex entries, non-finite entries,
-    ndim > 2, or (unless ``allow_empty``) zero-sized axes.
+    Raises ``ValueError`` on complex entries (a zero imaginary part
+    included), non-finite entries, ndim > 2, or (unless ``allow_empty``)
+    zero-sized axes.
     """
-    try:
-        A = np.asarray(M, dtype=float, order="C")
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a real matrix: {exc}") from None
+    A = np.asarray(_real(M, f"{name} must be a real matrix"), order="C")
     if A.ndim == 0:
         A = A.reshape(1, 1)
     elif A.ndim == 1:
         A = A.reshape(1, -1)
     elif A.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} must have finite entries")
     if not allow_empty and (A.shape[0] == 0 or A.shape[1] == 0):
         raise ValueError(f"{name} must be non-empty, got shape {A.shape}")
@@ -89,18 +100,20 @@ def as_matrix(M, name="matrix", allow_empty=False):
 
 
 def as_vector(v, name="vector", length=None):
-    """Convert to a validated 1-D float array; accepts rows/columns."""
-    try:
-        a = np.array(v, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{name} must be a real vector: {exc}") from None
+    """Convert to a validated 1-D float array, a copy; accepts rows/columns.
+
+    Raises ``ValueError`` on complex entries (a zero imaginary part
+    included), non-finite entries, two axes longer than 1, or a length
+    other than ``length``.
+    """
+    a = np.array(_real(v, f"{name} must be a real vector"))
     if a.ndim == 2 and 1 in a.shape:
         a = a.ravel()
     elif a.ndim == 0:
         a = a.reshape(1)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} must have finite entries")
     if length is not None and a.size != length:
         raise ValueError(f"{name} must have length {length}, got {a.size}")

@@ -16,6 +16,8 @@ import json
 
 import numpy as np
 
+from .linalg import as_matrix
+
 __all__ = ["load_matrices", "save_matrices"]
 
 # the items of a data list as json.dump(..., indent=2) separates them
@@ -66,17 +68,21 @@ def load_matrices(path):
 def save_matrices(path, named):
     """Write named matrices (2-D arrays; vectors are stored as columns).
 
+    Each entry passes ``linalg.as_matrix`` before the file is opened, so a
+    complex or non-finite one is a ``ValueError`` and no file is written.
+
     The text is the module's layout, byte for byte; each ``data`` list goes
     through json's C encoder in one call, which ``json.dump`` with an
     indent never uses, and the indentation around it is written here.
     """
     entries = []
     for key, value in named.items():
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(value)
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.ndim != 2:
             raise ValueError(f"matrix '{key}': must be 1-D or 2-D")
+        arr = as_matrix(arr, f"matrix '{key}'", allow_empty=True)
         data = _DATA.encode(arr.ravel().tolist())
         if arr.size:
             data = f"[\n      {data[1:-1]}\n    ]"

@@ -17,6 +17,14 @@ from .sylvester import SolveReport, solve_constrained_sylvester
 __all__ = ["Plant", "ReducedObserver", "synthesize_observer"]
 
 
+def _set_read_only(record, name, M):
+    """Store a read-only view of the validated ``M`` as field ``name`` of a
+    frozen ``record``."""
+    M = M.view()
+    M.flags.writeable = False
+    object.__setattr__(record, name, M)
+
+
 @dataclass(frozen=True)
 class Plant:
     """State-space triple (A, B, C); C must have full row rank.  C-ordered
@@ -35,9 +43,7 @@ class Plant:
         if _rank(C, 0.0) < C.shape[0]:
             raise ValueError("C must have full row rank")
         for name, M in (("A", A), ("B", B), ("C", C)):
-            M = M.view()
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+            _set_read_only(self, name, M)
 
     @property
     def n(self):
@@ -59,8 +65,9 @@ class ReducedObserver:
     ``report`` is the solve's verification report of (T, F, G); it is
     ``None`` for an observer built from stored matrices.  The shapes are
     checked when it is built: F q x q, G q x p, P q x m, T q x n and W
-    n x n with n = q + p.  Immutable after synthesis; the methods are pure
-    and concurrent-safe.
+    n x n with n = q + p; then each matrix passes ``as_matrix`` and is
+    kept as a read-only view, as in ``Plant``.  Immutable after synthesis;
+    the methods are pure and concurrent-safe.
     """
 
     F: np.ndarray
@@ -79,6 +86,9 @@ class ReducedObserver:
         for name, shape, want in zip("FGPTW", shapes, expected):
             if shape != want:
                 raise ValueError(f"observer {name} must have shape {want}, got {shape}")
+        for name in "FGPTW":
+            _set_read_only(self, name, as_matrix(getattr(self, name), f"observer {name}",
+                                                 allow_empty=True))
 
     @property
     def order(self):

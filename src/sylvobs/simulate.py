@@ -28,9 +28,12 @@ group, for the rows inside the groups.  That is about 55 numpy calls a
 block and N^2 flops a row, N the order of [x; z].  For L = 16, L2 = 4
 minimises the heads' 2 _BLOCK / (L L2) + 2 (L2 - 1) calls; 8 ties, with
 twice the powers and an M^128 that overflows at a growth of 260 per step
-instead of 6.6e4 (see ``simulate``).  The states are those of the
-step-by-step recurrence to round-off, not bit for bit: the heads go
-through powers of M.
+instead of 6.6e4 (see ``simulate``).  The states are not those of
+step-by-step RK4 to round-off: the heads go through powers of M, and the
+gap grows with the eigenvector condition number of the coupled matrix.
+On perfbench's ``gen.cli_pool(2, 5)`` plant (n = 4, p = 1, 10 s of a
+sinusoid, condition number 1.1e4), z is 1.66e-11 off RK4 in long double,
+against 1.7e-13 for step-by-step RK4 in double.
 
 A step dt that puts a decaying or marginal mode of the plant or the
 observer outside RK4's stability region (|R(dt lam)| >= 1, or > 1 on the
@@ -76,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .linalg import DEFAULTS, _eigenvalues, as_vector, eigenvalues
+from .linalg import DEFAULTS, _eigenvalues, as_vector
 
 __all__ = [
     "ConstantInput",
@@ -225,12 +228,11 @@ def _check_step_stability(plant, obs, dt):
     not finite is rejected too, with |R| = inf.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        # Plant validated A; a directly built observer's F is checked here alone
-        for source, spectrum, M, hint in (
-            ("plant", _eigenvalues, plant.A, "reduce dt"),
-            ("observer", eigenvalues, obs.F, "reduce dt or choose slower observer poles"),
+        for source, M, hint in (
+            ("plant", plant.A, "reduce dt"),
+            ("observer", obs.F, "reduce dt or choose slower observer poles"),
         ):
-            for lam in spectrum(M):
+            for lam in _eigenvalues(M):
                 if lam.real > DEFAULTS.stability:
                     continue
                 if lam.real >= -DEFAULTS.stability:
@@ -455,7 +457,9 @@ def _sampler(u):
 
     ``ConstantInput`` and ``SinusoidInput`` fill the rows in one pass.  The
     type must match exactly: a subclass may override ``__call__``, so it is
-    called once per time like any other callable.
+    called once per time like any other callable, and the rows it filled
+    are checked at once: a non-finite value is a ``ValueError`` naming its
+    time.
     """
     if type(u) in (ConstantInput, SinusoidInput):
         return u._fill
@@ -463,6 +467,9 @@ def _sampler(u):
     def call_each(times, out):
         for r, t in enumerate(times.tolist()):
             out[r] = u(t)
+        if not np.isfinite(out).all():
+            t = times[np.argmin(np.isfinite(out).all(axis=1))]
+            raise ValueError(f"input_signal returned a non-finite value at t = {t:g}")
 
     return call_each
 

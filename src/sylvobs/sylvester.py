@@ -122,18 +122,18 @@ def partition_by_output(A, C, tol=0.0):
 def _split(A, C, tol):
     """The observability split of ``analysis`` and C's full row rank.
 
-    Returns ``((U, s, Q, N, A22, A12, dec), [])`` for a detectable pair,
-    with ``A22 = N.T A N``, ``A12 = Q A N`` and ``dec`` their staircase,
-    and ``(None, offending)`` otherwise, so that the caller raises holding
-    none of these arrays.
+    Returns ``(U, s, Q, N, A22, A12, dec)`` for a detectable pair, with
+    ``A22 = N.T A N``, ``A12 = Q A N`` and ``dec`` their staircase.  For an
+    undetectable pair it raises ``UndetectableError`` holding none of them.
     """
-    U, s, Q, N, A22, A12, dec = _obs_split(A, C, tol)
-    if s.size < C.shape[0]:
+    split = _obs_split(A, C, tol)
+    if split[1].size < C.shape[0]:
         raise ValueError("C must have full row rank")
-    offending = _unstable_hidden_modes(_eigenvalues(dec.A22))
+    offending = _unstable_hidden_modes(_eigenvalues(split[-1].A22))
     if offending:
-        return None, offending
-    return (U, s, Q, N, A22, A12, dec), offending
+        del split  # the exception's frames keep no work array
+        raise _undetectable(offending)
+    return split
 
 
 def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
@@ -164,10 +164,7 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
         solution exists at all.
     """
     A, C = _validated_system(A, C)
-    split, offending = _split(A, C, tol)
-    if split is None:
-        raise _undetectable(offending)
-    U, s, Q, N, A22, A12, dec = split
+    U, s, Q, N, A22, A12, dec = _split(A, C, tol)
 
     Kq = _staircase_gain(A22, A12, dec, desired)
     F = A22 + Kq @ A12

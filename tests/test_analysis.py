@@ -99,6 +99,13 @@ def test_invalid_pair_rejected(fn, A, C, message):
 
 
 class TestDetectability:
+    @pytest.mark.parametrize("A", [np.diag([1.0 + 5j, -1.0]), np.diag([1.0 + 0j, -1.0])],
+                             ids=["imaginary", "zero-imaginary"])
+    def test_complex_rejected(self, A):
+        # not the verdict of diag(1, -1), the real part numpy's cast keeps
+        with pytest.raises(ValueError, match=r"^A must be a real matrix: complex entries"):
+            check_detectability(A, [[0.0, 1.0]])
+
     def test_unstable_unobservable(self):
         verdict = check_detectability(np.eye(2), [[1.0, 0.0]])
         assert not verdict.detectable

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -74,18 +75,31 @@ class TestMatrixFiles:
         {},
         {"A": np.zeros((0, 3)), "B": np.zeros((2, 0))},
         {"z": [[-0.0, 5e-324, 1e300, -1e-300]]},
-        {"n": [[math.nan, math.inf], [-math.inf, 0.5]]},
         {"\u00e9\u20ac": [[1.0]], 'q"\\\n': [[2.5]], "\U0001d400": np.eye(2)},
         {"i": [[1, 2], [3, -4]], "big": [[2**60]]},
         {"v": np.array([1.0, -2.0, 3.5]), "s": [7]},
         {1: [[1.0]], 2.5: [[0.1]], True: [[0.2]], None: [[3.0]]},
         {"r": np.random.default_rng(98).standard_normal((7, 5)) * 10.0**np.arange(-150, 200, 70)},
-    ], ids=["empty", "zero-size", "signed-zero-subnormal-huge", "nan-inf", "non-ascii-quoted",
+    ], ids=["empty", "zero-size", "signed-zero-subnormal-huge", "non-ascii-quoted",
             "int", "vectors", "non-string-keys", "random"])
     def test_text_is_json_dump_indent_2(self, tmp_path, named):
         path = tmp_path / "m.json"
         save_matrices(path, named)
         assert path.read_bytes() == json_dump_text(named)
+
+    @pytest.mark.parametrize("value, message", [
+        ([[math.nan, math.inf], [-math.inf, 0.5]], "must have finite entries"),
+        (np.array([1.0, math.nan]), "must have finite entries"),
+        (np.array([[1.0 + 2j]]), "must be a real matrix: complex entries"),
+        (np.array([1.0, 2.0 + 0j]), "must be a real matrix: complex entries"),
+    ], ids=["nan-inf", "nan-vector", "complex", "zero-imaginary"])
+    def test_refused_before_opening(self, tmp_path, value, message):
+        # load_matrices refuses what is not finite, and json holds no complex
+        # number: neither is written, and no file is left
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match=re.escape(f"matrix 'n' {message}")):
+            save_matrices(path, {"A": np.eye(2), "n": value})
+        assert not path.exists()
 
     @pytest.mark.parametrize("command", ["solve", "observe"])
     def test_command_files_are_json_dump_indent_2(self, tmp_path, capsys, command):

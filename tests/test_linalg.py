@@ -51,6 +51,29 @@ class TestAsMatrix:
         assert_allclose(A.ravel(), np.ravel(M))
 
 
+# complex arrays that numpy would cast to their real part with only a warning
+COMPLEX = [
+    np.array([[1.0 + 5j, 2.0]]),
+    np.array([[1.0 + 0j, 2.0]]),
+    np.array([[1.0, 2.0]], dtype=np.complex64),
+    [np.complex128(1.0 + 0j), 2.0],
+]
+COMPLEX_IDS = ["imaginary", "zero-imaginary", "complex64", "list-of-numpy-complex"]
+
+
+@pytest.mark.parametrize("M", COMPLEX, ids=COMPLEX_IDS)
+def test_complex_rejected(M):
+    with pytest.raises(ValueError, match=r"^M must be a real matrix: complex entries"):
+        as_matrix(M, "M")
+    with pytest.raises(ValueError, match=r"^v must be a real vector: complex entries"):
+        as_vector(M, "v")
+
+
+def test_int_beyond_float_range_rejected():
+    with pytest.raises(ValueError, match=r"^M must be a real matrix: "):
+        as_matrix([[2**1100]], "M")
+
+
 class TestAsVector:
     @pytest.mark.parametrize(
         "v", [[1.0, 2.0], [[1.0, 2.0]], [[1.0], [2.0]], np.array([1, 2])],

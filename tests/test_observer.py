@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -233,6 +234,45 @@ class TestSynthesis:
             ReducedObserver(**{**good, name: np.ones(shape)})
         with pytest.raises(ValueError, match="2-D"):
             ReducedObserver(**{**good, name: np.ones(3)})
+
+    @pytest.mark.parametrize("name", "FGPTW")
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "must have finite entries"),
+        (math.inf, "must have finite entries"),
+        (1j, "must be a real matrix: complex entries"),
+        (0j, "must be a real matrix: complex entries"),
+    ], ids=["nan", "inf", "complex", "zero-imaginary"])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_observer_entries_checked_when_built(self, name, bad, message, as_list):
+        # each matrix passes as_matrix once, so a simulation or the metrics
+        # never meet a NaN, an inf or a truncated complex entry
+        good = dict(F=-np.eye(2), G=np.ones((2, 1)), P=np.ones((2, 1)), T=np.ones((2, 3)),
+                    W=np.eye(3))
+        M = good[name] + np.zeros((), dtype=type(bad))
+        M[-1, -1] = bad
+        with pytest.raises(ValueError, match=re.escape(f"observer {name} {message}")):
+            ReducedObserver(**{**good, name: M.tolist() if as_list else M})
+
+    def test_observer_arrays_read_only(self):
+        # lists become float arrays, and a float64 array is shared but not
+        # written, as in Plant
+        F = -np.eye(2)
+        obs = ReducedObserver(F=F, G=[[1.0], [1.0]], P=[[1], [1]], T=np.ones((2, 3)).tolist(),
+                              W=np.eye(3))
+        assert obs.order == 2 and obs.n == 3 and obs.p == 1 and obs.m == 1
+        assert np.shares_memory(obs.F, F) and F.flags.writeable
+        for M in (obs.F, obs.G, obs.P, obs.T, obs.W):
+            assert M.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                M[0, 0] = 1.0
+
+    def test_complex_plant_rejected(self):
+        # numpy's cast would keep the real part: a plant of it is refused
+        for name, M in (("A", np.diag([1.0 + 5j, -1.0])), ("B", np.ones((2, 1)) + 0j),
+                        ("C", np.array([[0.0 + 0j, 1.0]]))):
+            abc = {"A": np.diag([1.0, -1.0]), "B": np.ones((2, 1)), "C": [[0.0, 1.0]], name: M}
+            with pytest.raises(ValueError, match=f"^{name} must be a real matrix: complex"):
+                Plant(**abc)
 
 
 class TestEstimation:

@@ -463,6 +463,37 @@ class TestInputGrid:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             SinusoidInput([1.0], **{field: value})
 
+    @pytest.mark.parametrize("make", [lambda v: SinusoidInput(v, 3.0),
+                                      lambda v: ConstantInput(v)], ids=["sinusoid", "constant"])
+    @pytest.mark.parametrize("v", [np.array([1.0 + 2j]), np.array([1.0 + 0j])],
+                             ids=["imaginary", "zero-imaginary"])
+    def test_complex_input_rejected(self, make, v):
+        with pytest.raises(ValueError, match="must be a real vector: complex entries"):
+            make(v)
+
+    def test_complex_initial_state_rejected(self):
+        plant, obs = worked_setup()
+        for x0, z0, name in (([1.0 + 0j, 0.0], [1.0], "x0"), ([0.0, 0.0], [1.0 + 0j], "z0")):
+            with pytest.raises(ValueError, match=f"^{name} must be a real vector: complex"):
+                simulate(plant, obs, np.array(x0), np.array(z0), SimulationConfig(t_final=0.1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_call_named(self, tmp_path, bad):
+        # a callable is checked once per block, not only at t = 0: the first
+        # input time past 0.7002, 0.7005, is in the second block
+        plant, obs = worked_setup()
+
+        def signal(t):
+            return np.array([bad if t > 0.7002 else math.sin(t)])
+
+        cfg = SimulationConfig(t_final=2.0, dt=1e-3, input_signal=signal)
+        message = r"^input_signal returned a non-finite value at t = 0\.7005$"
+        with pytest.raises(ValueError, match=message):
+            simulate(plant, obs, [0.0, 0.0], [1.0], cfg)
+        with pytest.raises(ValueError, match=message):
+            _summarize(plant, obs, [0.0, 0.0], [1.0], cfg, str(tmp_path / "trace.csv"))
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_angle_overflow_named(self):
         # 1e308 * t is finite up to t = 1.7975 and inf from the next input
         # time on, on the grid and per call alike
