@@ -232,21 +232,23 @@ def _undetectable(offending):
 
 def _obs_split(A, C, tol):
     """The observability split (module docstring) of a validated pair, C of
-    any row rank: ``(U, s, Q, N, A22, A12, dec)`` with ``A22 = N.T A N``,
-    ``A12 = Q A N`` and ``dec`` their staircase."""
+    any row rank: ``(U, s, Q, N, A22, A12, dec, anorm)`` with ``A22 = N.T A
+    N``, ``A12 = Q A N``, ``dec`` their staircase and ``anorm = ||A||_2``,
+    which sets the staircase's cutoff at ``tol = 0``."""
     U, s, Q, N = _output_basis(C, tol)
     AN = A @ N
     A22 = N.T @ AN
     A12 = Q @ AN
-    cutoff = tol if tol > 0 else np.sqrt(_EPS) * np.linalg.svd(A, compute_uv=False)[0]
-    return U, s, Q, N, A22, A12, _staircase(A22, A12, cutoff)
+    anorm = float(np.linalg.svd(A, compute_uv=False)[0])
+    cutoff = tol if tol > 0 else np.sqrt(_EPS) * anorm
+    return U, s, Q, N, A22, A12, _staircase(A22, A12, cutoff), anorm
 
 
 def _decompose(A, C, tol):
     """``obs_decompose`` of a validated pair; a zero C gives ``no == 0``.
     The measured coordinates ``Q x`` are observable, and A22 is the split's
     own hidden block, so every verdict reads the same one."""
-    _, s, Q, N, _, _, dec = _obs_split(A, C, tol)
+    _, s, Q, N, _, _, dec, _ = _obs_split(A, C, tol)
     stages = (s.size, *dec.stages) if s.size else ()
     no = sum(stages)
     Tsim = np.hstack([Q.T, N @ dec.Tsim])

@@ -21,25 +21,22 @@ of that staircase, block upper Hessenberg on its stage ranks r_1 >= r_2
 and Paige 1988).  Each stage takes a conjugate-closed share of r_i
 targets, in descending (real, imag) order, so the slowest go to the first
 stage.  The stages are placed from the last up, each on its own r_i x r_i
-block: given the gain of the stages below, one small linear solve gives
-the top block that needs the least gain, and the per-pole rule places the
-stage's share on it.  That rule inserts one real eigenvalue, or one
-complex-conjugate pair as a real 2x2 block, as an invariant subspace of
-the closed loop and deflates it, pole after pole, to ``U.T A U``, U the
-rest of a Householder reflector (the step's gain vanishes on U).  A pole
-takes its null direction from the least-norm input on a stage block,
-whose input has full row rank, if its condition number is at most 1e2,
-with one SVD of order r, and from an SVD of the whole pencil on a more
-graded stage block and in the base case: from the first stage that cannot
-take a conjugate-closed share (odd r_i and no real target left, e.g. one
-output and complex targets) down, the pair is placed pole by pole whole.
-A real pole takes its least-norm step in closed form: one thin SVD at
-order 3 and above, and none at orders 1 and 2, where a block's last pole,
-on a 1x1 block, takes its gain directly and a real pole on a 2x2 block its
-direction from one Jacobi rotation of a 2x2 Gram matrix; so a stage block
-of order r >= 2 with real targets makes r - 2 SVDs.  Gains
-stay real; repeated poles are supported.  For p > 1 the gain is not
-unique; it is deterministic, but only the spectrum is contracted.
+block: given the gain of the stages below, the stage's input has full row
+rank, so its block can be set to any real matrix, and it is set to the
+real block-diagonal matrix of its share in one step (``mu`` for a real
+pole, ``[[a, b], [-b, a]]`` for a pair ``a + ib``); one small linear solve
+gives the least-norm gain that does so.  A stage whose input rows are
+graded (norm ratio above ``_LEAST_NORM_COND``) keeps the per-pole rule
+instead, and so does the base case: from the first stage that cannot take
+a conjugate-closed share (odd r_i and no real target left, e.g. one output
+and complex targets) down, the pair is placed pole by pole whole.  That
+rule inserts one real eigenvalue, or one complex-conjugate pair as a real
+2x2 block, as an invariant subspace of the closed loop and deflates it to
+``U.T A U``, U the rest of a Householder reflector (the step's gain
+vanishes on U), taking its null direction from an SVD of the pencil; the
+last pole, on a 1x1 block, takes its gain directly.  Gains stay real;
+repeated poles are supported.  For p > 1 the gain is not unique; it is
+deterministic, but only the spectrum is contracted.
 """
 
 import itertools
@@ -58,8 +55,8 @@ _REAL_SNAP = 1e-9
 _PAIR_TOL = 1e-9
 # defensive gate on achieved characteristic coefficients (relative)
 _COEFF_GATE = 1e-4
-# largest condition number of a stage input whose poles are placed from
-# least-norm inputs: their normal equations square it, to at most 1e4
+# largest condition number of a stage input whose block is set to its
+# targets directly; a more graded stage input takes the per-pole rule
 _LEAST_NORM_COND = 1e2
 
 
@@ -104,35 +101,20 @@ def _pencil_directions(S, B, k=None):
     return N[:n] @ V, N[n:] @ V
 
 
-def _least_norm_directions(S, B, k=None):
-    """``_pencil_directions`` without those of zero state part, for B of
-    full row rank (every stage block and its deflations): the null space of
-    ``[S, B]`` is ``{(x, -P x)}`` plus ``{0} x null(B)``, ``P = B+ S = B.T
-    solve(B B.T, S)``, and the directions are ``(x_j, -P x_j)``, ``x_j =
-    v_j / sqrt(1 + s_j^2)`` over P's right singular vectors in ascending s:
-    one solve and one SVD of order r.  ``B B.T`` is diagonal for a stage
-    block, whose rows are orthogonal, not for its deflations: it squares
-    their condition number, which is at most the stage block's."""
-    P = B.T @ np.linalg.solve(B @ B.T, S)
-    _, s, Vh = np.linalg.svd(P, full_matrices=False)
-    X = Vh[::-1][:k].conj().T / np.sqrt(1.0 + s[::-1][:k] ** 2)
-    return X, -P @ X
-
-
-def _insert_invariant_block(A, B, mu, directions):
+def _insert_invariant_block(A, B, mu):
     """Real F0 and an orthonormal basis U of the orthogonal complement of an
     (A + B F0)-invariant subspace, so that ``U.T (A + B F0) U`` deflates it.
 
     The subspace carries ``mu`` (U has n - 1 columns) or the pair ``mu,
     conj(mu)`` (n - 2 columns, mu.imag > 0): a null vector [x; w] of
     [A - mu*I, B] has A x + B w = mu x, so a real F0 with F0 x = w makes x
-    (or span{Re x, Im x}) invariant.  A real mu takes the first direction of
-    the rule ``directions``, of largest state part, and U is the rest of its
-    Householder reflector; a pair tries the rule's columns, then ``(x_j + i
-    x_k) / sqrt(2)``, and U is the rest of a complete QR of [Re x, Im x].  A
-    1 x 1 block [a] with input row b needs no rule: both give ``F0 = (mu -
-    a) b.T / (b b.T)``, from a null vector of state part ``|b| / hypot(a -
-    mu, |b|)``; b = 0 takes only ``mu == a``, with F0 = 0.
+    (or span{Re x, Im x}) invariant.  A real mu takes the first of the
+    ``_pencil_directions``, of largest state part, and U is the rest of its
+    Householder reflector; a pair tries their columns, then ``(x_j + i x_k)
+    / sqrt(2)``, and U is the rest of a complete QR of [Re x, Im x].  A 1 x 1
+    block [a] with input row b needs no SVD: its null vector of largest
+    state part, ``|b| / hypot(a - mu, |b|)``, gives ``F0 = (mu - a) b.T /
+    (b b.T)``; b = 0 takes only ``mu == a``, with F0 = 0.
     """
     n = A.shape[0]
     if n == 1:
@@ -142,14 +124,14 @@ def _insert_invariant_block(A, B, mu, directions):
     elif mu.imag == 0.0:
         S = A.copy()
         S.flat[:: n + 1] -= mu.real
-        X, W = directions(S, B, 1)
+        X, W = _pencil_directions(S, B, 1)
         x = X[:, 0]
         xx = float(x @ x)
         nx = math.sqrt(xx)
         if nx > 1e-12:
             return np.outer(W[:, 0], x) / xx, _reflector_rest(x / nx)
     else:
-        X, W = directions(A - mu * np.eye(n), B)
+        X, W = _pencil_directions(A - mu * np.eye(n), B)
         pairs = (((X[:, j] + 1j * X[:, k]) / np.sqrt(2.0), (W[:, j] + 1j * W[:, k]) / np.sqrt(2.0))
                  for j, k in itertools.combinations(range(X.shape[1]), 2))
         for x, w in itertools.chain(zip(X.T, W.T), pairs):
@@ -161,20 +143,6 @@ def _insert_invariant_block(A, B, mu, directions):
     raise np.linalg.LinAlgError(f"cannot assign eigenvalue {mu}: degenerate null space")
 
 
-def _least_eigenpair(a, b, c):
-    """The least eigenvalue of the symmetric ``[[a, b], [b, c]]`` and a unit
-    eigenvector ``(v0, v1)`` for it, from the one Jacobi rotation that
-    diagonalizes the matrix."""
-    if b == 0.0:
-        return (a, 1.0, 0.0) if a <= c else (c, 0.0, 1.0)
-    theta = (c - a) / (2.0 * b)
-    t = math.copysign(1.0 / (abs(theta) + math.hypot(theta, 1.0)), theta)
-    cs = 1.0 / math.sqrt(1.0 + t * t)
-    if a - t * b <= c + t * b:
-        return a - t * b, cs, -t * cs
-    return c + t * b, t * cs, cs
-
-
 def _reflector_rest(h):
     """The last n - 1 columns of the Householder reflector that maps the unit
     vector h to a multiple of e_0: an orthonormal basis of h's complement."""
@@ -183,35 +151,6 @@ def _reflector_rest(h):
     U = h[:, None] * (h[1:] / -abs(h[0]))
     U.reshape(-1)[n - 1 :: n] += 1.0
     return U
-
-
-def _least_norm_real(A, B, mu):
-    """``_insert_invariant_block`` of a real ``mu`` on a block of order n >= 2
-    by the least-norm rule, in closed form.  With ``S = A - mu I`` and ``P
-    = B.T solve(B B.T, S)``, the rule's direction is the right singular
-    vector v of P's least singular value s, of state part ``1 / sqrt(1 +
-    s^2)``, which must exceed 1e-12, as the rule's must.  Then ``F0 = -P v
-    v.T``, and U is the rest of v's Householder reflector.  On a 2 x 2
-    block v is the least eigenvector of the Gram matrix ``P.T P``, from one
-    Jacobi rotation, and U is ``sign(v0) [-v1, v0]``: no SVD; on a larger
-    block, v takes one thin SVD of P."""
-    n = A.shape[0]
-    S = A.copy()
-    S.reshape(-1)[:: n + 1] -= mu
-    P = B.T @ np.linalg.solve(B @ B.T, S)
-    if n == 2:
-        (a, b), (_, c) = (P.T @ P).tolist()
-        ss, v0, v1 = _least_eigenpair(a, b, c)
-        v = np.array([v0, v1])
-        sign = math.copysign(1.0, v0)
-        U = np.array([[-sign * v1], [sign * v0]])
-    else:
-        _, s, Vh = np.linalg.svd(P, full_matrices=False)
-        ss, v = float(s[-1]) ** 2, Vh[-1]
-        U = _reflector_rest(v.copy())
-    if 1.0 / math.sqrt(1.0 + max(ss, 0.0)) <= 1e-12:
-        raise np.linalg.LinAlgError(f"cannot assign eigenvalue {complex(mu)}: degenerate null space")
-    return (P @ v)[:, None] * -v, U
 
 
 def _placement_order(poles):
@@ -251,19 +190,15 @@ def _placement_order(poles):
     return items
 
 
-def _place_feedback(A, B, items, directions):
+def _place_feedback(A, B, items):
     """Real F with the spectrum of ``A + B @ F`` equal to the placement ``items``
-    (a pair item places both members): one deflation per item by the rule
-    ``directions`` (``_insert_invariant_block``; ``_least_norm_real`` for a
-    real pole by the least-norm rule), the gains composed last first.  Each
+    (a pair item places both members), any B: one deflation per item
+    (``_insert_invariant_block``), the gains composed last first.  Each
     step's ``F0 = W X+`` vanishes on its U, which is orthogonal to X, so the
     deflated block ``U.T (A + B F0) U`` is ``U.T A U``."""
     F, steps = np.zeros((B.shape[1], 0)), []
     for mu in items:
-        if mu.imag == 0.0 and A.shape[0] > 1 and directions is _least_norm_directions:
-            F, U = _least_norm_real(A, B, mu.real)
-        else:
-            F, U = _insert_invariant_block(A, B, mu, directions)
+        F, U = _insert_invariant_block(A, B, mu)
         if U.shape[1] == 0:
             break
         steps.append((F, U))
@@ -325,7 +260,7 @@ def _stage_feedback(H, B, stages, items):
         o = starts[i]
         return H[o:, o:], B if i == 0 else H[o:, starts[i - 1]:o]
 
-    K = _place_feedback(*stage_pair(len(shares)), items, _pencil_directions)
+    K = _place_feedback(*stage_pair(len(shares)), items)
     for i in reversed(range(len(shares))):
         Hi, Bi = stage_pair(i)
         K = _stage_gain(Hi, Bi[: stages[i]], K, shares[i])
@@ -339,29 +274,47 @@ def _stage_gain(H, B1, K2, items):
 
     With Z = [I, -K2] and E = K2 H[r:] - H[:r], any F with
     ``B1 F = D1 Z + E`` makes the closed loop similar to
-    ``[[D1, 0], [H[r:, :r], H[r:, r:] + H[r:, :r] K2]]``.
-    ``D1* = -E Z+`` minimises ``||D1 Z + E||``, and ``D1 = D1* + B1 G``
-    takes the stage's poles by the per-pole rule on ``(D1*, B1)``; F is the
-    least-norm solution.  Both solves are of order r.  The rows of B1 are
-    orthogonal up to round-off (the staircase takes every block from an
-    SVD: a stage's basis is its coupling's left singular vectors), so
-    ``B1 B1.T`` is diagonal up to round-off and its normal equations do not
-    square the conditioning of B1.  So the ratio of its
-    row norms is its condition number, which bounds its deflations': up to
-    ``_LEAST_NORM_COND`` the poles are placed from least-norm inputs, and
-    beyond it, where their normal equations would lose more than four
-    digits, from the pencil."""
+    ``[[D1, 0], [H[r:, :r], H[r:, r:] + H[r:, :r] K2]]``, and F is the
+    least-norm solution, one solve of order r.  As B1 has full row rank, D1
+    can be any real r x r matrix: it is ``_share_block(items)``, which has
+    the stage's poles by construction.  The rows of B1 are orthogonal up to
+    round-off (the staircase takes every block from an SVD: a stage's basis
+    is its coupling's left singular vectors), so ``B1 B1.T`` is diagonal up
+    to round-off, and the ratio of its row norms is the condition number of
+    B1.  Beyond ``_LEAST_NORM_COND`` the stage is graded, and a block set
+    directly would be amplified by it into F; there ``D1* = -E Z+``
+    minimises ``||D1 Z + E||``, and ``D1 = D1* + B1 G`` takes the stage's
+    poles by the per-pole rule on ``(D1*, B1)``."""
     r = B1.shape[0]
     E = K2 @ H[r:] - H[:r]
-    EZt = E[:, :r] - E[:, r:] @ K2.T
-    D = -np.linalg.solve(np.eye(r) + K2 @ K2.T, EZt.T).T
     norms = np.sqrt(np.add.reduce(B1 * B1, axis=1))
-    graded = norms.max() > _LEAST_NORM_COND * norms.min()
-    directions = _pencil_directions if graded else _least_norm_directions
-    D += B1 @ _place_feedback(D, B1, items, directions)
+    if norms.max() > _LEAST_NORM_COND * norms.min():
+        EZt = E[:, :r] - E[:, r:] @ K2.T
+        D = -np.linalg.solve(np.eye(r) + K2 @ K2.T, EZt.T).T
+        D += B1 @ _place_feedback(D, B1, items)
+    else:
+        D = _share_block(items)
     E[:, :r] += D
     E[:, r:] -= D @ K2
     return B1.T @ np.linalg.solve(B1 @ B1.T, E)
+
+
+def _share_block(items):
+    """The real block-diagonal matrix of the placement ``items``: ``mu`` for
+    a real pole, ``[[a, b], [-b, a]]`` for a pair item ``a + ib``, in
+    descending modulus.  The rows of a stage input come in descending norm
+    (its coupling's singular values), so the targets that need the most
+    input go where the input is strongest, and the gain is smaller."""
+    r = sum(1 if mu.imag == 0.0 else 2 for mu in items)
+    D, k = np.zeros((r, r)), 0
+    for mu in sorted(items, key=abs, reverse=True):
+        if mu.imag == 0.0:
+            D[k, k] = mu.real
+            k += 1
+        else:
+            D[k : k + 2, k : k + 2] = [[mu.real, mu.imag], [-mu.imag, mu.real]]
+            k += 2
+    return D
 
 
 def _char_poly(roots):
@@ -376,9 +329,9 @@ def _char_poly(roots):
 
 def _verify_assignment(Acl, poles):
     """The coefficient gate: the characteristic coefficients of ``Acl`` must
-    match those of ``poles`` to ``_COEFF_GATE`` relative.  Where they
-    overflow, the error is not finite, and ``np.poly``'s coefficients, whose
-    NaNs differ from the product loop's, give the verdict they always gave."""
+    match those of ``poles`` to ``_COEFF_GATE`` relative.  Where the product
+    loop's coefficients overflow, ``np.poly``'s, whose NaNs differ, give the
+    verdict; an error that is still not finite fails the gate."""
     with np.errstate(over="ignore", invalid="ignore"):
         roots = np.linalg.eigvals(Acl)
         for char_poly in (_char_poly, np.poly):
@@ -386,7 +339,7 @@ def _verify_assignment(Acl, poles):
             err = np.max(np.abs(achieved - target)) / max(1.0, np.max(np.abs(target)))
             if math.isfinite(err):
                 break
-    if err > _COEFF_GATE:
+    if not err <= _COEFF_GATE:
         raise np.linalg.LinAlgError(
             f"eigenvalue assignment failed verification (coefficient error {err:.2e})"
         )

@@ -65,12 +65,17 @@ DEFAULTS = Tolerances()
 
 def _real(M, message):
     """``M`` as a float64 array, ``M`` itself when it is a float64 ndarray; a
-    ``ValueError`` starting with ``message`` when it does not convert or is
-    complex, where numpy's conversion would keep the real part."""
+    ``ValueError`` starting with ``message`` when it does not convert, is
+    complex, where numpy's conversion would keep the real part, or is text,
+    which it would parse.  An object array is judged by the dtype its
+    entries take as a list, so one complex or text entry refuses it too."""
     try:
         M = np.asarray(M)
-        if M.dtype.kind == "c":
+        kind = np.asarray(M.tolist()).dtype.kind if M.dtype.kind == "O" else M.dtype.kind
+        if kind == "c":
             raise TypeError(f"complex entries (dtype {M.dtype})")
+        if kind not in "biufO":
+            raise TypeError(f"entries of dtype {M.dtype} are not numbers")
         return np.asarray(M, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{message}: {exc}") from None

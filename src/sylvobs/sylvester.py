@@ -18,7 +18,11 @@ the observability split every verdict of the package uses (``analysis``):
    the staircase's own stages (``gains``), giving Kq with
    ``F = N.T A N + Kq Q A N`` Hurwitz stable;
 3. assemble ``T = Kq Q + N.T`` and G; as ``T N = I`` and ``C N = 0``,
-   ``W = inv([C; T]) = [(Q.T - N Kq) diag(1/s) U.T, N]`` in closed form;
+   ``W = inv([C; T]) = [(Q.T - N Kq) diag(1/s) U.T, N]`` in closed form.
+   When ``||Kq||_2 > c (1 + ||A||_2)``, c = 10, T is rebased to
+   orthonormal rows, ``T.T = Qt R`` and ``T' = Qt.T``, so ``T N = I`` no
+   longer holds: W's last columns become ``N R.T``, still in closed form,
+   and ``[G', F'] = T' A W'`` (``_assemble``);
 4. verify (T, F, G): the spectral abscissa of F in the report goes
    through the placement gate of ``gains`` ("stabilization failed
    verification", as in ``stabilizing_gain``), then the residual,
@@ -54,6 +58,10 @@ __all__ = [
     "solve_constrained_sylvester",
     "verify_solution",
 ]
+
+# a gain with ||Kq||_2 above this multiple of 1 + ||A||_2 rebases T to
+# orthonormal rows (``_assemble``)
+_REBASE = 10.0
 
 
 @dataclass(frozen=True)
@@ -122,14 +130,15 @@ def partition_by_output(A, C, tol=0.0):
 def _split(A, C, tol):
     """The observability split of ``analysis`` and C's full row rank.
 
-    Returns ``(U, s, Q, N, A22, A12, dec)`` for a detectable pair, with
-    ``A22 = N.T A N``, ``A12 = Q A N`` and ``dec`` their staircase.  For an
-    undetectable pair it raises ``UndetectableError`` holding none of them.
+    Returns ``(U, s, Q, N, A22, A12, dec, anorm)`` for a detectable pair,
+    with ``A22 = N.T A N``, ``A12 = Q A N``, ``dec`` their staircase and
+    ``anorm = ||A||_2``.  For an undetectable pair it raises
+    ``UndetectableError`` holding none of them.
     """
     split = _obs_split(A, C, tol)
     if split[1].size < C.shape[0]:
         raise ValueError("C must have full row rank")
-    offending = _unstable_hidden_modes(_eigenvalues(split[-1].A22))
+    offending = _unstable_hidden_modes(_eigenvalues(split[6].A22))
     if offending:
         del split  # the exception's frames keep no work array
         raise _undetectable(offending)
@@ -164,13 +173,9 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
         solution exists at all.
     """
     A, C = _validated_system(A, C)
-    U, s, Q, N, A22, A12, dec = _split(A, C, tol)
-
+    U, s, Q, N, A22, A12, dec, anorm = _split(A, C, tol)
     Kq = _staircase_gain(A22, A12, dec, desired)
-    F = A22 + Kq @ A12
-    T = Kq @ Q + N.T
-    # C = U diag(s) Q and T Q.T = Kq: G = (T A - F T) pinv(C)
-    G = (T @ A @ Q.T - F @ Kq) / s @ U.T
+    T, F, G, W = _assemble(A, U, s, Q, N, A22, A12, anorm, Kq)
 
     report = verify_solution(A, C, T, F, G, tol)
     _placement_gate(report.F_spectral_abscissa)
@@ -184,9 +189,30 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
         raise np.linalg.LinAlgError(
             f"constructed solution failed verification: {report}"
         )
-    # T N = I and C N = 0, so W = inv([C; T]) needs no solve
-    W = np.hstack([((Q.T - N @ Kq) / s) @ U.T, N])
     return SylvesterSolution(T=T, F=F, G=G, W=W, report=report)
+
+
+def _assemble(A, U, s, Q, N, A22, A12, anorm, Kq):
+    """``(T, F, G, W)`` from any gain ``Kq`` of the split ``(U, s, Q, N,
+    A22, A12)`` of a pair with ``||A||_2 = anorm``, ``F = A22 + Kq A12``
+    Hurwitz stable: ``T = Kq Q + N.T``, and ``W = inv([C; T]) = [W1, N]``
+    with ``W1 = (Q.T - N Kq) diag(1/s) U.T``, as ``T N = I``, ``C N = 0``
+    and ``T W1 = 0``.  When ``||Kq||_2 > _REBASE (1 + anorm)`` the rows of
+    T are rebased to orthonormal ones, ``T.T = Qt R`` and ``T' = Qt.T``, so
+    that ``W' = [W1, N R.T]``, and ``[G', F'] = T' A W'``: the same
+    equation in other observer coordinates, its rounding no longer grown by
+    ``||T|| ||F||``."""
+    T = Kq @ Q + N.T
+    W1 = ((Q.T - N @ Kq) / s) @ U.T
+    if Kq.size and np.linalg.norm(Kq, 2) > _REBASE * (1.0 + anorm):
+        Qt, R = np.linalg.qr(T.T)
+        W = np.hstack([W1, N @ R.T])
+        GF = Qt.T @ A @ W
+        return Qt.T, GF[:, s.size :], GF[:, : s.size], W
+    F = A22 + Kq @ A12
+    # C = U diag(s) Q and T Q.T = Kq: G = (T A - F T) pinv(C)
+    G = (T @ A @ Q.T - F @ Kq) / s @ U.T
+    return T, F, G, np.hstack([W1, N])
 
 
 def verify_solution(A, C, T, F, G, tol=0.0):

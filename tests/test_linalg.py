@@ -57,8 +57,9 @@ COMPLEX = [
     np.array([[1.0 + 0j, 2.0]]),
     np.array([[1.0, 2.0]], dtype=np.complex64),
     [np.complex128(1.0 + 0j), 2.0],
+    np.array([np.complex128(1.0 + 5j), 2.0], dtype=object),
 ]
-COMPLEX_IDS = ["imaginary", "zero-imaginary", "complex64", "list-of-numpy-complex"]
+COMPLEX_IDS = ["imaginary", "zero-imaginary", "complex64", "list-of-numpy-complex", "object-array"]
 
 
 @pytest.mark.parametrize("M", COMPLEX, ids=COMPLEX_IDS)
@@ -67,6 +68,28 @@ def test_complex_rejected(M):
         as_matrix(M, "M")
     with pytest.raises(ValueError, match=r"^v must be a real vector: complex entries"):
         as_vector(M, "v")
+
+
+@pytest.mark.parametrize(
+    "M", [[["0.5", "1e3"]], np.array([0.5, "1e3"], dtype=object), [[b"1"]]],
+    ids=["strings", "object-array", "bytes"],
+)
+def test_text_rejected(M):
+    # numpy would parse the text; load_matrices refuses it, and so does this
+    with pytest.raises(ValueError, match=r"^M must be a real matrix: entries of dtype \S+ are not numbers$"):
+        as_matrix(M, "M")
+    with pytest.raises(ValueError, match=r"^v must be a real vector: entries of dtype \S+ are not numbers$"):
+        as_vector(M, "v")
+
+
+@pytest.mark.parametrize(
+    "M", [[[1, 2], [3, 4]], [[1.5, 2], [3, 4.25]], np.array([1, 2.5], dtype=object)],
+    ids=["ints", "mixed", "object-array"],
+)
+def test_numbers_converted(M):
+    A = as_matrix(M, "M")
+    assert A.dtype == np.float64
+    assert_allclose(A, np.asarray(M, dtype=float).reshape(A.shape))
 
 
 def test_int_beyond_float_range_rejected():

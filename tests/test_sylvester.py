@@ -1,5 +1,7 @@
+import importlib.util
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,3 +420,70 @@ class TestRandomRoundTrip:
             scale = 1.0 + np.linalg.norm(sol.T)
             assert np.linalg.norm(vec_T - sol.T.reshape(-1)) <= 1e-7 * scale / min(gap, 1.0)
             checked += 1
+
+
+def _perfbench_gen():
+    """The benchmark's seeded input generator, ``perfbench/gen.py``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDirectPlacement:
+    """Stage blocks set to their targets directly, with the conditional
+    orthonormal-row rebase of T, on draws that failed before."""
+
+    @pytest.mark.parametrize("seed, instance", [(111, 386), (414, 6)])
+    def test_timed_draw_verified(self, seed, instance):
+        # two hidden-n16-p2 draws of the benchmark's timed pool that failed
+        # the residual gate under the per-pole rule
+        case = next(c for c in _perfbench_gen().design_pool(seed, instance) if c.name == "hidden-n16-p2")
+        sol = solve_constrained_sylvester(case.A, case.C)
+        assert sol.report.residual_norm <= DEFAULTS.residual_rtol * (1.0 + np.linalg.norm(case.A))
+        assert sol.report.F_spectral_abscissa < 0.0
+        assert_allclose(sol.W @ np.vstack([case.C, sol.T]), np.eye(16), rtol=0.0, atol=1e-8)
+
+    def test_overflowing_coefficients_fail_the_gate(self):
+        # n = 128, one output: the characteristic coefficients overflow, and
+        # a NaN error fails the coefficient gate
+        rng = np.random.default_rng((5, 128, 1, 0))
+        A, C = rng.standard_normal((128, 128)), rng.standard_normal((1, 128))
+        message = r"^eigenvalue assignment failed verification \(coefficient error nan\)$"
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            solve_constrained_sylvester(A, C)
+
+    # (n, p): draws of six that pass at least; (24, 1), (32, 1) and (64, 4)
+    # pass none yet
+    GRID = {(16, 1): 6, (24, 1): 0, (32, 1): 0, (32, 2): 6, (48, 4): 6, (64, 4): 0, (96, 8): 6,
+            (128, 16): 6, (16, 2): 6, (32, 4): 6, (64, 8): 6, (64, 16): 6, (128, 32): 6}
+    # A scaled by s on n = 6, p = 2: draws of ten that pass at least
+    SCALED = {1e-6: 0, 1e-3: 10, 1e3: 10, 1e6: 4}
+
+    def test_probe_grid(self):
+        passed = {}
+        for (n, p), least in self.GRID.items():
+            count = 0
+            for i in range(6):
+                rng = np.random.default_rng((5, n, p, i))
+                A, C = rng.standard_normal((n, n)), rng.standard_normal((p, n))
+                try:
+                    solve_constrained_sylvester(A, C)
+                    count += 1
+                except np.linalg.LinAlgError:
+                    pass
+            passed[n, p] = count
+        for scale, least in self.SCALED.items():
+            count = 0
+            for i in range(10):
+                rng = np.random.default_rng((5, 6, 2, i))
+                A, C = rng.standard_normal((6, 6)), rng.standard_normal((2, 6))
+                try:
+                    solve_constrained_sylvester(scale * A, C)
+                    count += 1
+                except np.linalg.LinAlgError:
+                    pass
+            passed[scale] = count
+        expected = {**self.GRID, **self.SCALED}
+        assert all(passed[key] >= least for key, least in expected.items()), passed
