@@ -234,12 +234,13 @@ def _obs_split(A, C, tol):
     """The observability split (module docstring) of a validated pair, C of
     any row rank: ``(U, s, Q, N, A22, A12, dec, anorm)`` with ``A22 = N.T A
     N``, ``A12 = Q A N``, ``dec`` their staircase and ``anorm = ||A||_2``,
-    which sets the staircase's cutoff at ``tol = 0``."""
+    which sets the staircase's cutoff at ``tol = 0``; at ``tol > 0`` no SVD
+    of A is taken, and ``anorm`` is None."""
     U, s, Q, N = _output_basis(C, tol)
     AN = A @ N
     A22 = N.T @ AN
     A12 = Q @ AN
-    anorm = float(np.linalg.svd(A, compute_uv=False)[0])
+    anorm = None if tol > 0 else float(np.linalg.svd(A, compute_uv=False)[0])
     cutoff = tol if tol > 0 else np.sqrt(_EPS) * anorm
     return U, s, Q, N, A22, A12, _staircase(A22, A12, cutoff), anorm
 

@@ -331,7 +331,10 @@ def _verify_assignment(Acl, poles):
     """The coefficient gate: the characteristic coefficients of ``Acl`` must
     match those of ``poles`` to ``_COEFF_GATE`` relative.  Where the product
     loop's coefficients overflow, ``np.poly``'s, whose NaNs differ, give the
-    verdict; an error that is still not finite fails the gate."""
+    verdict.  An error that is still NaN fails the gate when the targets'
+    coefficients are finite; when they overflow too, no verdict can be read
+    off them and the gate passes, leaving the result to the stability gate
+    and, in the solve, to its residual, ``[C; T]`` and rank gates."""
     with np.errstate(over="ignore", invalid="ignore"):
         roots = np.linalg.eigvals(Acl)
         for char_poly in (_char_poly, np.poly):
@@ -339,7 +342,7 @@ def _verify_assignment(Acl, poles):
             err = np.max(np.abs(achieved - target)) / max(1.0, np.max(np.abs(target)))
             if math.isfinite(err):
                 break
-    if not err <= _COEFF_GATE:
+    if err > _COEFF_GATE or (math.isnan(err) and np.isfinite(target).all()):
         raise np.linalg.LinAlgError(
             f"eigenvalue assignment failed verification (coefficient error {err:.2e})"
         )

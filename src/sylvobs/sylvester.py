@@ -132,7 +132,8 @@ def _split(A, C, tol):
 
     Returns ``(U, s, Q, N, A22, A12, dec, anorm)`` for a detectable pair,
     with ``A22 = N.T A N``, ``A12 = Q A N``, ``dec`` their staircase and
-    ``anorm = ||A||_2``.  For an undetectable pair it raises
+    ``anorm = ||A||_2`` (None at ``tol > 0``, where the split takes no SVD
+    of A).  For an undetectable pair it raises
     ``UndetectableError`` holding none of them.
     """
     split = _obs_split(A, C, tol)
@@ -194,8 +195,9 @@ def solve_constrained_sylvester(A, C, desired=None, tol=0.0):
 
 def _assemble(A, U, s, Q, N, A22, A12, anorm, Kq):
     """``(T, F, G, W)`` from any gain ``Kq`` of the split ``(U, s, Q, N,
-    A22, A12)`` of a pair with ``||A||_2 = anorm``, ``F = A22 + Kq A12``
-    Hurwitz stable: ``T = Kq Q + N.T``, and ``W = inv([C; T]) = [W1, N]``
+    A22, A12)`` of a pair with ``||A||_2 = anorm`` (taken here if None),
+    ``F = A22 + Kq A12`` Hurwitz stable: ``T = Kq Q + N.T``, and
+    ``W = inv([C; T]) = [W1, N]``
     with ``W1 = (Q.T - N Kq) diag(1/s) U.T``, as ``T N = I``, ``C N = 0``
     and ``T W1 = 0``.  When ``||Kq||_2 > _REBASE (1 + anorm)`` the rows of
     T are rebased to orthonormal ones, ``T.T = Qt R`` and ``T' = Qt.T``, so
@@ -204,6 +206,8 @@ def _assemble(A, U, s, Q, N, A22, A12, anorm, Kq):
     ``||T|| ||F||``."""
     T = Kq @ Q + N.T
     W1 = ((Q.T - N @ Kq) / s) @ U.T
+    if Kq.size and anorm is None:
+        anorm = np.linalg.norm(A, 2)  # tol > 0: the split took no SVD of A
     if Kq.size and np.linalg.norm(Kq, 2) > _REBASE * (1.0 + anorm):
         Qt, R = np.linalg.qr(T.T)
         W = np.hstack([W1, N @ R.T])
